@@ -1,11 +1,12 @@
 """Exact 3-coloring counting and coloring lower-bound verification for
 triangle-free plane graphs.
 
-The package keeps embeddings as rotation systems, counts colorings with
-an exact pruned search (compiled kernel with a pure-Python fallback),
+The package keeps embeddings as rotation systems, counts colorings
+exactly with a frontier dynamic program in pure Python (no build step),
 extracts laminar families of 5-cycles, decomposes them into chains and
-antichains, builds color transition matrices between nested 5-cycles,
-and checks every lower bound with exact integer arithmetic.
+antichains, builds color transition matrices between nested 5-cycles
+from one pinned counting sweep each, and checks every lower bound with
+exact integer arithmetic.
 """
 
 __version__ = "0.1.0"
@@ -34,8 +35,8 @@ from .coloring import (
     enumerate_3_colorings,
     extends,
     is_proper,
-    kernel_backend,
     load_coloring,
+    pinned_counts,
     special_data,
     switch_component,
 )

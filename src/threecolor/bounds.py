@@ -71,13 +71,17 @@ def meets_main_bound(count: int, n: int) -> bool:
         if root * root == n // 212:
             return count >= 2 ** root  # threshold is exactly integral
     from mpmath import iv
-    for dps in (30, 60, 120, 240, 480, 960):
-        iv.dps = dps
-        threshold = iv.mpf(2) ** iv.sqrt(iv.mpf(n) / iv.mpf(212))
-        if count >= threshold.b:
-            return True
-        if count < threshold.a:
-            return False
+    saved = iv.prec         # the interval context is process-global
+    try:
+        for dps in (30, 60, 120, 240, 480, 960):
+            iv.dps = dps
+            threshold = iv.mpf(2) ** iv.sqrt(iv.mpf(n) / iv.mpf(212))
+            if count >= threshold.b:
+                return True
+            if count < threshold.a:
+                return False
+    finally:
+        iv.prec = saved
     raise ArithmeticError(
         f"bound comparison inconclusive at count={count}, n={n}")
 
@@ -142,26 +146,25 @@ class BoundReport:
         }
 
 
-def chain_matrix_total(g: PlaneGraph, chain: Sequence, budget: int = DEFAULT_BUDGET,
-                       threads: int = 1) -> int:
+def chain_matrix_total(g: PlaneGraph, chain: Sequence,
+                       budget: int = DEFAULT_BUDGET) -> int:
     """Total of the transition matrix composed along a chain of 5-cycles.
 
     The chain is sorted outermost first; consecutive members give the
     layer matrices whose product is the end-to-end matrix.
     """
     ordered = sorted(chain, key=lambda c: len(interior_faces(g, c)), reverse=True)
-    mats = [transition_matrix(g, ordered[i], ordered[i + 1],
-                              budget=budget, threads=threads)
+    mats = [transition_matrix(g, ordered[i], ordered[i + 1], budget=budget)
             for i in range(len(ordered) - 1)]
     return compose(mats).total
 
 
 def verify(g: PlaneGraph, k: int = DEFAULT_K, budget: int = DEFAULT_BUDGET,
-           threads: int = 1, graph_name: str = "graph") -> BoundReport:
+           graph_name: str = "graph") -> BoundReport:
     """Count exactly and evaluate every applicable lower bound."""
     if not triangle_free(g):
         raise ValueError("bound verification requires a triangle-free graph")
-    res = count_3_colorings_detailed(g, budget=budget, threads=threads)
+    res = count_3_colorings_detailed(g, budget=budget)
     count = res.count
     n = g.n
     outcome = extract(g, k)
@@ -177,8 +180,7 @@ def verify(g: PlaneGraph, k: int = DEFAULT_K, budget: int = DEFAULT_BUDGET,
         antichain_pass = antichain_bound(count, len(antichain))
         sizes_pass = decomposition_sizes_ok(len(chain), len(antichain), family_size)
         if len(chain) >= 2:
-            matrix_check = 6 * chain_matrix_total(
-                g, chain, budget=budget, threads=threads) <= count
+            matrix_check = 6 * chain_matrix_total(g, chain, budget=budget) <= count
     return BoundReport(
         graph=graph_name,
         n=n,

@@ -15,14 +15,17 @@ import sys
 
 from . import __version__
 from .bounds import DEFAULT_K, verify_with_budget_guard
-from .coloring import DEFAULT_BUDGET, count_3_colorings_detailed, kernel_backend
+from .coloring import DEFAULT_BUDGET, count_3_colorings_detailed
 from .errors import BudgetExceededError, GraphFormatError
 from .generators import GeneratorSpec, from_spec
 from .laminar import extract, dilworth_decompose
 from .plane_graph import load_plane_graph, plane_graph_to_json, validate_cycle
-from .transition import (
+# ``is_doubling`` stays importable from here: perfbench/tracing.py counts
+# calls to ``cli.is_doubling`` for its sampler acceptance metric.
+from .transition import (  # noqa: F401
     is_doubling,
     matrix_report,
+    random_matrix_chain,
     transition_matrix,
     verify_product_bound,
 )
@@ -52,7 +55,10 @@ def _load(path: str):
 def _cmd_generate(args) -> int:
     spec = GeneratorSpec(family=args.family, k=args.k, seed=args.seed,
                          ops=args.ops)
-    g = from_spec(spec)
+    try:
+        g = from_spec(spec)
+    except ValueError as exc:
+        raise GraphFormatError({"error": "bad_argument", "detail": str(exc)})
     text = plane_graph_to_json(g)
     if args.out == "-":
         sys.stdout.write(text)
@@ -68,11 +74,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_count(args) -> int:
     g = _load(args.graph)
-    res = count_3_colorings_detailed(g, budget=args.budget, threads=args.threads)
+    res = count_3_colorings_detailed(g, budget=args.budget)
     record = {"graph": args.graph, "count": res.count, "budget_used": res.nodes}
     _emit(record, args.json,
           f"{args.graph}: {res.count} proper 3-colorings "
-          f"({res.nodes} search nodes)")
+          f"({res.nodes} state updates)")
     return EXIT_OK
 
 
@@ -116,8 +122,7 @@ def _cmd_transition(args) -> int:
     c1 = _parse_cycle(g, args.outer)
     c2 = _parse_cycle(g, args.inner)
     try:
-        m = transition_matrix(g, c1, c2, budget=args.budget,
-                              threads=args.threads)
+        m = transition_matrix(g, c1, c2, budget=args.budget)
     except ValueError as exc:
         raise GraphFormatError({"error": "bad_cycle_pair", "detail": str(exc)})
     record = matrix_report(m, g)
@@ -129,44 +134,10 @@ def _cmd_transition(args) -> int:
     return EXIT_OK
 
 
-def _random_doubling(rng: random.Random):
-    while True:
-        m = [[0] * 5 for _ in range(5)]
-        for i in range(5):
-            for j in rng.sample(range(5), 2):
-                m[i][j] = rng.randint(1, 3)
-        cand = tuple(tuple(r) for r in m)
-        if is_doubling(cand):
-            return cand
-
-
-def _random_dominant(rng: random.Random):
-    from .transition import BLOCK_DIAGONAL
-    sigma = rng.sample(range(5), 5)
-    tau = rng.sample(range(5), 5)
-    return tuple(tuple(BLOCK_DIAGONAL[sigma[i]][tau[j]] + rng.randint(0, 1)
-                       for j in range(5)) for i in range(5))
-
-
-def random_matrix_chain(n: int, rng: random.Random):
-    """A seeded chain of matrices with their known classifications.
-
-    Doubling members are doubling by construction; dominant members are
-    row/column permutations of the reference matrix plus noise, hence
-    dominant by construction.
-    """
-    mats, kinds = [], []
-    for _ in range(n):
-        if rng.random() < 0.5:
-            mats.append(_random_doubling(rng))
-            kinds.append("doubling")
-        else:
-            mats.append(_random_dominant(rng))
-            kinds.append("dominant")
-    return mats, kinds
-
-
 def _cmd_matrix_lemma(args) -> int:
+    if args.n < 1:
+        raise GraphFormatError({"error": "bad_argument",
+                                "detail": "--n must be at least 1"})
     rng = random.Random(args.seed)
     violations = 0
     first = None
@@ -195,8 +166,7 @@ def _cmd_verify_bounds(args) -> int:
         g = _load(path)
         try:
             report = verify_with_budget_guard(
-                g, k=args.k, budget=args.budget, threads=args.threads,
-                graph_name=path)
+                g, k=args.k, budget=args.budget, graph_name=path)
         except ValueError as exc:
             raise GraphFormatError({"error": "bad_input", "path": path,
                                     "detail": str(exc)})
@@ -210,14 +180,16 @@ def _cmd_verify_bounds(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_BOUND_FAILURE
 
 
+THREADS_HELP = "accepted for compatibility and ignored; counting is single-threaded"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="threecolor",
         description="Exact 3-coloring counting and lower-bound verification "
                     "for triangle-free plane graphs.")
     parser.add_argument("--version", action="version",
-                        version=f"threecolor {__version__} "
-                                f"(kernel: {kernel_backend()})")
+                        version=f"threecolor {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a corpus graph as JSON")
@@ -234,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count proper 3-colorings exactly")
     p.add_argument("graph")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 
@@ -253,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", required=True,
                    help="comma-separated inner cycle vertices")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_transition)
 
@@ -270,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graphs", nargs="+")
     p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_bounds)
 

@@ -1,30 +1,27 @@
 """Exact 3-coloring counting and the coloring-side operations.
 
-Counting is an exact depth-first search over a BFS vertex order with
-forward pruning; the inner loop lives in a compiled kernel
-(``_fastcount``) with a pure-Python twin (``_purecount``) selected at
-import time.  Colors are the literals 1, 2, 3 and colorings are counted
-as labeled objects (color permutations give distinct colorings).
+Counting is a frontier dynamic program over one fixed vertex order, a
+path decomposition of the graph.  After each vertex is placed, the
+placed vertices that still have an unplaced neighbour form the
+frontier, and a dict maps each coloring of the frontier to the number
+of proper colorings of the placed vertices that induce it.  Counts are
+exact Python integers.  Pinned vertices stay in the frontier until the
+end, so one sweep splits the count by their colors: this serves full
+counts, boundary counts, the extension test and transition matrices.
+Colors are the literals 1, 2, 3 and colorings are counted as labeled
+objects (color permutations give distinct colorings).
 
 A coloring is represented as a tuple indexed by vertex id.
-
-The search tree is always split at a fixed shallow depth and the
-subtrees counted independently; results and node usage are summed, so
-the reported numbers are identical for any thread count.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
-
-import numpy as np
 
 from .errors import BudgetExceededError, GraphFormatError
 from .plane_graph import PlaneGraph, canonical_cycle
@@ -32,206 +29,129 @@ from .plane_graph import PlaneGraph, canonical_cycle
 log = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 10 ** 9
-_SPLIT_DEPTH = 8   # fixed, so node accounting is independent of threading
-
-if os.environ.get("THREECOLOR_PURE"):
-    from . import _purecount as _kernel
-    KERNEL = "python"
-else:
-    try:
-        from . import _fastcount as _kernel  # type: ignore[no-redef]
-        KERNEL = "compiled"
-    except ImportError:
-        from . import _purecount as _kernel  # type: ignore[no-redef]
-        KERNEL = "python"
 
 
-def kernel_backend() -> str:
-    """Which counting kernel is active: "compiled" or "python"."""
-    return KERNEL
-
-
-# ---------------------------------------------------------------------------
-# counting plans
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Plan:
-    order: tuple            # position -> vertex
-    pos_of: dict            # vertex -> position
-    indptr: np.ndarray      # CSR of earlier-ordered neighbours
-    flat: np.ndarray
-
-
-def _make_plan(g) -> _Plan:
-    verts = sorted(g.vertices)
-    nbrs = {v: sorted(g.neighbors(v)) for v in verts}
+def _bfs_order(g) -> list:
+    """Breadth-first vertex order from the least vertex, restarted at the
+    least unplaced vertex for each further component."""
     seen = set()
     order = []
-    for root in verts:          # restart for non-plane graphs that split
+    for root in sorted(g.vertices):
         if root in seen:
             continue
         seen.add(root)
         queue = [root]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:
             order.append(u)
-            for w in nbrs[u]:
+            for w in sorted(g.neighbors(u)):
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
-    pos_of = {v: p for p, v in enumerate(order)}
-    indptr = [0]
-    flat = []
-    for p, v in enumerate(order):
-        for w in nbrs[v]:
-            if pos_of[w] < p:
-                flat.append(pos_of[w])
-        indptr.append(len(flat))
-    return _Plan(order=tuple(order), pos_of=pos_of,
-                 indptr=np.asarray(indptr, dtype=np.int32),
-                 flat=np.asarray(flat, dtype=np.int32))
-
-
-def _plan_for(g) -> _Plan:
-    if isinstance(g, PlaneGraph):
-        plan = g.__dict__.get("_counting_plan")
-        if plan is None:
-            plan = _make_plan(g)
-            g.__dict__["_counting_plan"] = plan
-        return plan
-    return _make_plan(g)
-
-
-def _prefix_assignments(plan: _Plan, fixed, depth: int):
-    """All proper partial colorings of the first ``depth`` positions,
-    in lexicographic color order, plus the node count spent finding them."""
-    indptr, flat = plan.indptr, plan.flat
-    prior = [tuple(int(q) for q in flat[indptr[p]:indptr[p + 1]])
-             for p in range(depth)]
-    out: list[tuple] = []
-    colors = [0] * depth
-    nodes = 0
-
-    def rec(p):
-        nonlocal nodes
-        if p == depth:
-            out.append(tuple(colors))
-            return
-        f = fixed[p]
-        for c in (1, 2, 3):
-            if f and c != f:
-                continue
-            if any(colors[q] == c for q in prior[p]):
-                continue
-            colors[p] = c
-            nodes += 1
-            rec(p + 1)
-        colors[p] = 0
-
-    rec(0)
-    return out, nodes
+    return order
 
 
 @dataclass(frozen=True)
 class CountResult:
     count: int
-    nodes: int
+    nodes: int      # frontier state updates spent
 
 
-def _count_core(g, fixed_map: Mapping[int, int] | None,
-                budget: int, limit: int, threads: int) -> CountResult:
-    plan = _plan_for(g)
-    n = len(plan.order)
-    if n == 0:
-        return CountResult(count=1, nodes=0)
-    fixed = np.zeros(n, dtype=np.int8)
-    if fixed_map:
-        for v, c in fixed_map.items():
-            if c not in (1, 2, 3):
-                raise ValueError(f"color must be 1, 2 or 3, got {c}")
-            fixed[plan.pos_of[v]] = c
-    depth = min(n, _SPLIT_DEPTH)
-    prefixes, prefix_nodes = _prefix_assignments(plan, fixed, depth)
-    if prefix_nodes > budget:
-        raise BudgetExceededError(budget)
-    if depth == n:
-        count = len(prefixes) if not limit else min(len(prefixes), limit)
-        return CountResult(count=count, nodes=prefix_nodes)
+def pinned_counts(g, pinned: Sequence[int] = (),
+                  fixed: Mapping[int, int] | None = None,
+                  budget: int = DEFAULT_BUDGET) -> tuple[dict, int]:
+    """Count proper 3-colorings split by the colors of ``pinned``.
 
-    subtree_cap = budget - prefix_nodes
-
-    def run(prefix):
-        preset = np.zeros(n, dtype=np.int8)
-        preset[:depth] = prefix
-        return _kernel.count_colorings(plan.indptr, plan.flat, fixed,
-                                       preset, depth, subtree_cap, limit)
-
-    if limit or threads <= 1 or len(prefixes) <= 1:
-        results = []
-        found = 0
-        for prefix in prefixes:
-            res = run(prefix)
-            results.append(res)
-            if res[0] > 0:
-                found += res[0]
-            if limit and found >= limit:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, prefixes))
-
-    total_nodes = prefix_nodes
-    count = 0
-    for c, nodes in results:
-        total_nodes += nodes
-        if c < 0:
+    Returns ``(states, updates)``: ``states`` maps each tuple of colors
+    of the pinned vertices (in the given order) to the number of proper
+    colorings inducing it, omitting zero counts; ``updates`` is the
+    number of frontier state updates spent.  ``fixed`` forces colors on
+    some vertices.  More than ``budget`` updates raise
+    :class:`BudgetExceededError`.
+    """
+    fixed = dict(fixed or {})
+    verts = set(g.vertices)
+    for v, c in fixed.items():
+        if v not in verts:
+            raise ValueError(f"vertex {v} not in graph")
+        if c not in (1, 2, 3):
+            raise ValueError(f"color must be 1, 2 or 3, got {c}")
+    for v in pinned:
+        if v not in verts:
+            raise ValueError(f"vertex {v} not in graph")
+    order = _bfs_order(g)
+    pos = {v: p for p, v in enumerate(order)}
+    last = {v: max((pos[w] for w in g.neighbors(v)), default=-1) for v in order}
+    kept = set(pinned)
+    frontier: list = []
+    states = {(): 1}
+    updates = 0
+    for p, v in enumerate(order):
+        nbrs = set(g.neighbors(v))
+        checks = [i for i, u in enumerate(frontier) if u in nbrs]
+        grown = frontier + [v]
+        keep = [i for i, u in enumerate(grown) if u in kept or last[u] > p]
+        choices = (fixed[v],) if v in fixed else (1, 2, 3)
+        nxt: dict = {}
+        for state, cnt in states.items():
+            banned = {state[i] for i in checks}
+            for c in choices:
+                if c in banned:
+                    continue
+                full = state + (c,)
+                key = tuple([full[i] for i in keep])
+                nxt[key] = nxt.get(key, 0) + cnt
+                updates += 1
+        if updates > budget:
             raise BudgetExceededError(budget)
-        count += c
-    if total_nodes > budget:
-        raise BudgetExceededError(budget)
-    if limit:
-        count = min(count, limit)
-    return CountResult(count=count, nodes=total_nodes)
+        states = nxt
+        frontier = [grown[i] for i in keep]
+    at = [frontier.index(v) for v in pinned]
+    return {tuple([s[i] for i in at]): cnt for s, cnt in states.items()}, updates
 
 
-def count_3_colorings(g, budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
+def count_3_colorings(g, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of proper 3-colorings, as a labeled count."""
-    return count_3_colorings_detailed(g, budget=budget, threads=threads).count
+    return count_3_colorings_detailed(g, budget=budget).count
 
 
-def count_3_colorings_detailed(g, budget: int = DEFAULT_BUDGET,
-                               threads: int = 1) -> CountResult:
-    """Exact count plus the number of search nodes spent."""
-    return _count_core(g, None, budget, 0, max(1, threads))
+def count_3_colorings_detailed(g, budget: int = DEFAULT_BUDGET) -> CountResult:
+    """Exact count plus the number of frontier state updates spent."""
+    states, updates = pinned_counts(g, budget=budget)
+    return CountResult(count=sum(states.values()), nodes=updates)
 
 
 def count_with_boundary(g, fixed: Mapping[int, int],
-                        budget: int = DEFAULT_BUDGET, limit: int = 0) -> CountResult:
+                        budget: int = DEFAULT_BUDGET) -> CountResult:
     """Exact count of colorings extending a partial assignment."""
-    return _count_core(g, fixed, budget, limit, 1)
+    states, updates = pinned_counts(g, (), fixed, budget)
+    return CountResult(count=sum(states.values()), nodes=updates)
 
 
 def enumerate_3_colorings(g) -> Iterator[tuple]:
-    """Yield every proper 3-coloring exactly once, as vertex-indexed tuples."""
-    plan = _plan_for(g)
-    n = len(plan.order)
+    """Yield every proper 3-coloring exactly once, as vertex-indexed tuples.
+
+    A plain backtracking search in breadth-first order, kept separate
+    from the counting sweep so that tests can check one against the
+    other.
+    """
+    order = _bfs_order(g)
+    n = len(order)
     if n == 0:
         yield ()
         return
-    indptr, flat = plan.indptr, plan.flat
-    prior = [tuple(int(q) for q in flat[indptr[p]:indptr[p + 1]])
-             for p in range(n)]
+    pos = {v: p for p, v in enumerate(order)}
+    prior = [tuple(pos[w] for w in g.neighbors(v) if pos[w] < p)
+             for p, v in enumerate(order)]
     colors = [0] * n
-    dense = all(v == p for p, v in enumerate(plan.order))
+    dense = all(v == p for p, v in enumerate(order))
 
     def rec(p):
         if p == n:
             if dense:
                 yield tuple(colors)
             else:
-                out = [0] * (max(plan.order) + 1)
-                for q, v in enumerate(plan.order):
+                out = [0] * (max(order) + 1)
+                for q, v in enumerate(order):
                     out[v] = colors[q]
                 yield tuple(out)
             return
@@ -305,7 +225,7 @@ def extends(g: PlaneGraph, cycle: Sequence[int], boundary: Mapping[int, int],
         if boundary[u] == boundary[v]:
             raise ValueError("boundary coloring is not proper on the cycle")
     fixed = {v: boundary[v] for v in c}
-    return count_with_boundary(g, fixed, budget=budget, limit=1).count > 0
+    return count_with_boundary(g, fixed, budget=budget).count > 0
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +329,14 @@ def load_coloring(source, g: PlaneGraph) -> tuple:
     if not isinstance(data, dict) or "colors" not in data:
         raise GraphFormatError({"error": "bad_schema", "detail": "missing 'colors'"})
     colors = data["colors"]
+    if not isinstance(colors, dict):
+        raise GraphFormatError({"error": "bad_schema", "detail": "'colors' not a map"})
     out = [0] * g.n
     for lab in g.labels:
         if lab not in colors:
             raise GraphFormatError({"error": "uncolored_vertex", "vertex": lab})
         c = colors[lab]
-        if c not in (1, 2, 3):
+        if type(c) is not int or c not in (1, 2, 3):
             raise GraphFormatError({"error": "bad_color", "vertex": lab,
                                     "color": c})
         out[g.index(lab)] = c

@@ -318,6 +318,10 @@ def load_plane_graph(source) -> PlaneGraph:
     for key in ("vertices", "rotation", "outer_face"):
         if key not in data:
             raise GraphFormatError({"error": "bad_schema", "detail": f"missing {key!r}"})
+    for key in ("vertices", "outer_face"):
+        if not isinstance(data[key], (list, tuple)):
+            raise GraphFormatError({"error": "bad_schema",
+                                    "detail": f"{key!r} not a list"})
     labels = [str(x) for x in data["vertices"]]
     index = {}
     for lab in labels:
@@ -332,6 +336,9 @@ def load_plane_graph(source) -> PlaneGraph:
         if lab not in rot_map:
             raise GraphFormatError({"error": "bad_schema",
                                     "detail": f"no rotation for {lab!r}"})
+        if not isinstance(rot_map[lab], (list, tuple)):
+            raise GraphFormatError({"error": "bad_schema",
+                                    "detail": f"rotation of {lab!r} not a list"})
         row = []
         for w in rot_map[lab]:
             w = str(w)

@@ -16,12 +16,13 @@ grows exponentially and the comparisons are done in the integers
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import random
 from dataclasses import dataclass
-from itertools import permutations, product
+from functools import cache
+from itertools import chain, combinations, permutations, product
 from typing import Sequence
 
-from .coloring import DEFAULT_BUDGET, count_with_boundary
+from .coloring import DEFAULT_BUDGET, pinned_counts
 from .errors import FalsificationError
 from .plane_graph import PlaneGraph, annulus_subgraph, map_vertices, validate_cycle
 
@@ -171,29 +172,20 @@ def apply_row(x: Sequence[int], m) -> tuple:
 # transition matrices from graphs
 # ---------------------------------------------------------------------------
 
-def _pentagon_patterns():
-    """The 30 proper color patterns of a 5-cycle with the index of the
-    position whose color occurs once."""
-    out = []
-    for pat in product((1, 2, 3), repeat=5):
-        if any(pat[i] == pat[(i + 1) % 5] for i in range(5)):
-            continue
-        special = next(i for i in range(5) if pat.count(pat[i]) == 1)
-        out.append((pat, special))
-    return tuple(out)
-
-
-_PATTERNS = _pentagon_patterns()
+def _special_index(colors: Sequence[int]) -> int:
+    """Position of the color used once on a properly colored 5-cycle."""
+    return next(i for i in range(5) if colors.count(colors[i]) == 1)
 
 
 def transition_matrix(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int],
-                      budget: int = DEFAULT_BUDGET, threads: int = 1) -> TransitionMatrix:
+                      budget: int = DEFAULT_BUDGET) -> TransitionMatrix:
     """Compute the color transition matrix between nested 5-cycles.
 
-    Enumerates the 30 x 30 boundary patterns, counts annulus colorings
-    extending each consistent pair (``budget`` caps each count), and
-    groups the counts by the two special vertices.  Every raw cell is
-    checked to be divisible by 6 before division.
+    One counting sweep over the annulus pins both cycles (``budget``
+    caps its state updates) and returns the colorings split by the
+    colors of the ten boundary positions; these are grouped by the two
+    special vertices.  Every raw cell is checked to be divisible by 6
+    before division.
     """
     k1 = validate_cycle(g, c1)
     k2 = validate_cycle(g, c2)
@@ -202,30 +194,11 @@ def transition_matrix(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int],
     ann = annulus_subgraph(g, k1, k2)
     rows = map_vertices(g, ann, k1)
     cols = map_vertices(g, ann, k2)
-    shared = [(i, j) for i in range(5) for j in range(5) if rows[i] == cols[j]]
-
-    tasks = []
-    for pat1, s1 in _PATTERNS:
-        for pat2, s2 in _PATTERNS:
-            if any(pat1[i] != pat2[j] for i, j in shared):
-                continue
-            tasks.append((pat1, s1, pat2, s2))
-
-    def run(task):
-        pat1, s1, pat2, s2 = task
-        fixed = {rows[i]: pat1[i] for i in range(5)}
-        fixed.update({cols[j]: pat2[j] for j in range(5)})
-        return s1, s2, count_with_boundary(ann, fixed, budget=budget).count
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
+    states, _ = pinned_counts(ann, rows + cols, budget=budget)
 
     raw = [[0] * 5 for _ in range(5)]
-    for s1, s2, cnt in results:
-        raw[s1][s2] += cnt
+    for colors, cnt in states.items():
+        raw[_special_index(colors[:5])][_special_index(colors[5:])] += cnt
     for i in range(5):
         for j in range(5):
             if raw[i][j] % 6:
@@ -325,6 +298,58 @@ def verify_product_bound(ms: Sequence, kinds: Sequence[str] | None = None) -> Pr
         n=n, classifications=kinds, final_value=final,
         bound_pass=bound_pass, potential_pass=first_violation is None,
         first_violation=first_violation)
+
+
+# ---------------------------------------------------------------------------
+# random chains for the matrix lemma
+# ---------------------------------------------------------------------------
+
+@cache
+def _doubling_supports() -> tuple:
+    """The 2040 zero/one 5x5 patterns with every row and column sum 2,
+    as five column pairs (one per row); built on first use."""
+    pairs = tuple(combinations(range(5), 2))
+    each_twice = sorted(2 * list(range(5)))
+    return tuple(rows for rows in product(pairs, repeat=5)
+                 if sorted(chain.from_iterable(rows)) == each_twice)
+
+
+def _random_doubling(rng: random.Random) -> Matrix:
+    """A uniform row/column-sum-2 support with iid entries 1..3 on it.
+
+    This is the distribution of drawing two entries per row and
+    rejecting until every column has two, without the rejections.
+    """
+    m = [[0] * 5 for _ in range(5)]
+    for i, pair in enumerate(rng.choice(_doubling_supports())):
+        for j in pair:
+            m[i][j] = rng.randint(1, 3)
+    return tuple(tuple(r) for r in m)
+
+
+def _random_dominant(rng: random.Random) -> Matrix:
+    sigma = rng.sample(range(5), 5)
+    tau = rng.sample(range(5), 5)
+    return tuple(tuple(BLOCK_DIAGONAL[sigma[i]][tau[j]] + rng.randint(0, 1)
+                       for j in range(5)) for i in range(5))
+
+
+def random_matrix_chain(n: int, rng: random.Random):
+    """A seeded chain of matrices with their known classifications.
+
+    Doubling members are doubling by construction; dominant members are
+    row/column permutations of the reference matrix plus noise, hence
+    dominant by construction.
+    """
+    mats, kinds = [], []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            mats.append(_random_doubling(rng))
+            kinds.append("doubling")
+        else:
+            mats.append(_random_dominant(rng))
+            kinds.append("dominant")
+    return mats, kinds
 
 
 def matrix_report(m: TransitionMatrix, g: PlaneGraph | None = None) -> dict:

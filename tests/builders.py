@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from threecolor import PlaneGraph
+from threecolor import PlaneGraph, pentagon_tower, perturbed_tower, tower_pentagons
 from threecolor.generators import _graph_from_layout
 
 
@@ -92,3 +92,21 @@ def nested_pairs_family(g: PlaneGraph):
     fam = [tuple(g.index(f"q{i}.{j}") for j in range(5)) for i in range(2)]
     fam += [tuple(g.index(f"r{i}.{j}") for j in range(5)) for i in range(2)]
     return fam
+
+
+def annulus_instances():
+    """(name, graph, outer, inner) for every nested layer pair of towers
+    2-6 and the near pairs of four perturbed towers."""
+    for h in range(2, 7):
+        g = pentagon_tower(h)
+        pents = tower_pentagons(g, h)
+        for i in range(h):
+            for j in range(i + 1, h):
+                yield f"tower{h}[{i},{j}]", g, pents[j], pents[i]
+    for k, seed, ops in ((3, 1, 2), (4, 2, 2), (4, 3, 3), (5, 5, 2)):
+        g = perturbed_tower(k, seed, ops)
+        pents = tower_pentagons(g, k)
+        for i in range(k - 1):
+            yield f"perturbed{k}s{seed}[{i},{i+1}]", g, pents[i + 1], pents[i]
+        for i in range(k - 2):
+            yield f"perturbed{k}s{seed}[{i},{i+2}]", g, pents[i + 2], pents[i]

@@ -2,12 +2,16 @@
 
 These reimplement the checked quantities from their definitions, without
 touching the library's search machinery, so that frozen expected values
-are backed by a second computation path.
+are backed by a second computation path.  ``pattern_transition_entries``
+is the exception: it is the per-pattern transition matrix computation
+that the pinned counting sweep replaced, kept as its reference.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+
+from threecolor import annulus_subgraph, count_with_boundary, map_vertices
 
 
 def scan_count_colorings(g) -> int:
@@ -63,3 +67,35 @@ def special_vertex_by_definition(cycle, coloring):
     singles = [v for v, c in zip(cycle, cols) if cols.count(c) == 1]
     assert len(singles) == 1
     return singles[0]
+
+
+def _pentagon_patterns():
+    """The 30 proper color patterns of a 5-cycle with the index of the
+    position whose color occurs once."""
+    out = []
+    for pat in product((1, 2, 3), repeat=5):
+        if any(pat[i] == pat[(i + 1) % 5] for i in range(5)):
+            continue
+        special = next(i for i in range(5) if pat.count(pat[i]) == 1)
+        out.append((pat, special))
+    return tuple(out)
+
+
+def pattern_transition_entries(g, c1, c2):
+    """Transition matrix entries from one boundary count per consistent
+    pair of the 30 x 30 pentagon color patterns, grouped by the two
+    special positions; ``c1``/``c2`` must be in canonical cycle order."""
+    ann = annulus_subgraph(g, c1, c2)
+    rows = map_vertices(g, ann, c1)
+    cols = map_vertices(g, ann, c2)
+    shared = [(i, j) for i in range(5) for j in range(5) if rows[i] == cols[j]]
+    raw = [[0] * 5 for _ in range(5)]
+    for pat1, s1 in _pentagon_patterns():
+        for pat2, s2 in _pentagon_patterns():
+            if any(pat1[i] != pat2[j] for i, j in shared):
+                continue
+            fixed = {rows[i]: pat1[i] for i in range(5)}
+            fixed.update({cols[j]: pat2[j] for j in range(5)})
+            raw[s1][s2] += count_with_boundary(ann, fixed).count
+    assert all(x % 6 == 0 for row in raw for x in row)
+    return tuple(tuple(x // 6 for x in row) for row in raw)

@@ -23,7 +23,6 @@ from threecolor import (
     extract,
     is_laminar,
     pentagon_tower,
-    perturbed_tower,
     potential,
     shared_path_pentagons,
     special_data,
@@ -32,12 +31,14 @@ from threecolor import (
     verify,
     verify_product_bound,
 )
-from threecolor.cli import main as cli_main, random_matrix_chain, _random_doubling
+from threecolor.cli import main as cli_main
 from threecolor.generators import garden_pentagons, pentagon_garden
-from threecolor.transition import BLOCK_DIAGONAL, apply_row, compose, s_k
+from threecolor.transition import (BLOCK_DIAGONAL, _random_doubling, apply_row,
+                                   compose, random_matrix_chain, s_k)
 from threecolor.plane_graph import plane_graph_to_json
 
-from builders import cycle_graph, path_graph, single_edge, single_vertex
+from builders import (annulus_instances, cycle_graph, path_graph, single_edge,
+                      single_vertex)
 from conftest import build_corpus
 from oracles import scan_count_colorings
 
@@ -97,22 +98,6 @@ def test_criterion_03_composition_oracle():
     assert elapsed < 60.0
     report(3, f"layer-matrix products equal end-to-end matrices for "
               f"towers 3, 4, 5 ({elapsed:.1f}s)")
-
-
-def annulus_instances():
-    for h in range(2, 7):
-        g = pentagon_tower(h)
-        pents = tower_pentagons(g, h)
-        for i in range(h):
-            for j in range(i + 1, h):
-                yield f"tower{h}[{i},{j}]", g, pents[j], pents[i]
-    for k, seed, ops in ((3, 1, 2), (4, 2, 2), (4, 3, 3), (5, 5, 2)):
-        g = perturbed_tower(k, seed, ops)
-        pents = tower_pentagons(g, k)
-        for i in range(k - 1):
-            yield f"perturbed{k}s{seed}[{i},{i+1}]", g, pents[i + 1], pents[i]
-        for i in range(k - 2):
-            yield f"perturbed{k}s{seed}[{i},{i+2}]", g, pents[i + 2], pents[i]
 
 
 def test_criterion_04_dichotomy_on_annulus_corpus():

@@ -58,6 +58,13 @@ def test_main_bound_interval_fallback_is_exact():
     assert not meets_main_bound(1023, 21200)
 
 
+def test_main_bound_leaves_interval_precision_alone():
+    from mpmath import iv
+    before = iv.dps
+    assert not meets_main_bound(3, 1000)     # decided by interval arithmetic
+    assert iv.dps == before
+
+
 def test_power_bound_big_integers():
     count = 30 * 6 ** 7
     assert meets_power_bound(count, 8, 7)

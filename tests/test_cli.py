@@ -137,6 +137,25 @@ def test_input_error_exit_code(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "count", str(tmp_path / "missing.json"))
     assert code == 2
 
+    for doc in ({"vertices": ["a"], "rotation": {"a": 5}, "outer_face": ["a"]},
+                {"vertices": ["a"], "rotation": {"a": []}, "outer_face": 3},
+                {"vertices": None, "rotation": {}, "outer_face": []},
+                {"vertices": "ab", "rotation": {"a": ["b"], "b": ["a"]},
+                 "outer_face": ["a", "b"]}):
+        bad.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(capsys, "count", str(bad))
+        assert code == 2, doc
+        assert json.loads(stdout.splitlines()[0])["error"] == "bad_schema"
+        assert "Traceback" not in err
+
+    for argv in (("generate", "--family", "tower", "--k", "0", "--out", "-"),
+                 ("generate", "--family", "perturbed", "--k", "2", "--ops", "-1",
+                  "--out", "-"),
+                 ("matrix-lemma", "--n", "0")):
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(stdout.splitlines()[0])["error"] == "bad_argument"
+
 
 def test_triangle_input_rejected_by_analyze(tmp_path, capsys):
     from builders import chorded_pentagon

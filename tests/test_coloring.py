@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threecolor import (
+    AbstractGraph,
     BudgetExceededError,
     GraphFormatError,
     bichromatic_components,
@@ -12,7 +14,6 @@ from threecolor import (
     coloring_to_json,
     colorings_from_switching,
     count_3_colorings,
-    count_3_colorings_detailed,
     count_with_boundary,
     delete_interior_regions,
     enumerate_3_colorings,
@@ -22,6 +23,8 @@ from threecolor import (
     load_coloring,
     pentagon_garden,
     pentagon_tower,
+    perturbed_tower,
+    pinned_counts,
     shared_path_pentagons,
     special_data,
     switch_component,
@@ -84,18 +87,60 @@ def test_count_divisible_by_six_on_corpus(corpus):
 def test_counts_on_abstract_graphs():
     gv = identify_neighbors(cycle_graph(5), 0)  # a triangle
     assert count_3_colorings(gv) == 6
+    # non-dense ids and two components: an edge and an isolated vertex
+    split = AbstractGraph(adj={3: frozenset({7}), 7: frozenset({3}),
+                               9: frozenset()})
+    assert count_3_colorings(split) == 6 * 3
+
+
+# Generated graphs small enough to enumerate, and induced subgraphs of
+# them (non-dense ids, often several components).
+plane_graphs = st.one_of(
+    st.integers(1, 3).map(pentagon_tower),
+    st.integers(1, 2).map(pentagon_garden),
+    st.builds(perturbed_tower, st.integers(2, 3), st.integers(0, 99),
+              st.integers(0, 4)),
+)
+
+
+@st.composite
+def count_inputs(draw):
+    g = draw(plane_graphs)
+    if draw(st.booleans()):
+        return g
+    drop = draw(st.sets(st.sampled_from(list(g.vertices)), max_size=g.n - 1))
+    keep = set(g.vertices) - drop
+    return AbstractGraph(adj={u: frozenset(w for w in g.neighbors(u) if w in keep)
+                              for u in keep})
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_inputs())
+def test_sweep_count_matches_enumeration_and_scan(g):
+    cols = list(enumerate_3_colorings(g))
+    assert count_3_colorings(g) == len(cols) == len(set(cols))
+    if g.n <= 10:        # the 3**n scan is too slow beyond this
+        assert count_3_colorings(g) == scan_count_colorings(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pinned_and_boundary_counts_match_filtered_enumeration(data):
+    g = data.draw(count_inputs())
+    verts = sorted(g.vertices)
+    fixed_at = data.draw(st.lists(st.sampled_from(verts), unique=True, max_size=6))
+    fixed = {v: data.draw(st.integers(1, 3)) for v in fixed_at}
+    pins = data.draw(st.lists(st.sampled_from(verts), max_size=4))
+    extending = [c for c in enumerate_3_colorings(g)
+                 if all(c[v] == col for v, col in fixed.items())]
+    states, _ = pinned_counts(g, pins, fixed)
+    assert states == Counter(tuple(c[v] for v in pins) for c in extending)
+    assert count_with_boundary(g, fixed).count == len(extending)
 
 
 def test_budget_error():
     with pytest.raises(BudgetExceededError):
         count_3_colorings(pentagon_tower(3), budget=50)
-
-
-def test_thread_counts_and_nodes_identical():
-    g = pentagon_tower(5)
-    a = count_3_colorings_detailed(g, threads=1)
-    b = count_3_colorings_detailed(g, threads=4)
-    assert a == b
 
 
 def test_enumerate_matches_count():
@@ -344,6 +389,9 @@ def test_coloring_file_rejects_partial_and_bad_colors():
         load_coloring({"colors": {"a": 1}}, g)
     with pytest.raises(GraphFormatError):
         load_coloring({"colors": {"a": 1, "b": 4}}, g)
+    for colors in ({"a": True, "b": 2}, {"a": 1.0, "b": 2}, None, ["a", "b"]):
+        with pytest.raises(GraphFormatError):
+            load_coloring({"colors": colors}, g)
 
 
 def test_brute_force_helper_agrees():

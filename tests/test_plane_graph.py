@@ -126,6 +126,23 @@ def test_loader_rejects_bad_outer_face():
     assert exc.value.report["error"] == "outer_face_mismatch"
 
 
+@pytest.mark.parametrize("patch", [
+    {"rotation": {"c0": 5}},
+    {"outer_face": 3},
+    {"vertices": None},
+    {"vertices": "c0c1"},
+])
+def test_loader_rejects_wrongly_typed_fields(patch):
+    data = cycle_graph(5).to_json_dict()
+    if "rotation" in patch:
+        data["rotation"].update(patch["rotation"])
+    else:
+        data.update(patch)
+    with pytest.raises(GraphFormatError) as exc:
+        load_plane_graph(data)
+    assert exc.value.report["error"] == "bad_schema"
+
+
 def test_serialization_is_deterministic():
     a = plane_graph_to_json(pentagon_garden(2))
     b = plane_graph_to_json(pentagon_garden(2))

@@ -27,7 +27,10 @@ from threecolor import (
     transition_matrix,
     verify_product_bound,
 )
-from threecolor.cli import _random_doubling, random_matrix_chain
+from threecolor.transition import _random_doubling, random_matrix_chain
+
+from builders import annulus_instances
+from oracles import pattern_transition_entries
 
 ALL_ONES = tuple((1,) * 5 for _ in range(5))
 IDENTITY = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
@@ -222,12 +225,16 @@ def test_transition_rejects_non_nested_and_short_cycles():
         transition_matrix(g, pents[0], pents[0][:4])
 
 
-def test_threaded_matrix_identical():
-    g = pentagon_tower(3)
-    pents = tower_pentagons(g, 3)
-    a = transition_matrix(g, pents[2], pents[0], threads=1)
-    b = transition_matrix(g, pents[2], pents[0], threads=4)
-    assert a == b
+def test_sweep_matches_pattern_oracle():
+    # every annulus that acceptance criteria 03 and 04 build, plus the
+    # shared-path pair whose cycles overlap in four vertices
+    g = shared_path_pentagons()
+    pairs = [("shared", g, [g.index(f"u{i+1}") for i in range(5)],
+              [g.index(x) for x in ("u1", "u2", "u3", "u4", "v")])]
+    for name, g, outer, inner in [*pairs, *annulus_instances()]:
+        m = transition_matrix(g, outer, inner)
+        assert m.entries == pattern_transition_entries(
+            g, m.row_labels, m.col_labels), name
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +337,14 @@ def test_matrix_report_shape():
 def test_sixth_integrality_guard_trips_on_corrupt_counts(monkeypatch):
     import threecolor.transition as tr
 
-    calls = iter(range(10 ** 6))
+    real = tr.pinned_counts
 
-    class Fake:
-        def __init__(self):
-            # corrupt exactly one boundary pair's count
-            self.count = 1 if next(calls) == 0 else 0
+    def corrupt(*args, **kwargs):
+        states, updates = real(*args, **kwargs)
+        states[min(states)] += 1    # one boundary coloring miscounted by one
+        return states, updates
 
-    monkeypatch.setattr(tr, "count_with_boundary", lambda *a, **k: Fake())
+    monkeypatch.setattr(tr, "pinned_counts", corrupt)
     g = pentagon_tower(2)
     pents = tower_pentagons(g, 2)
     with pytest.raises(FalsificationError):
