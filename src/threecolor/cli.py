@@ -48,6 +48,12 @@ def _load(path: str):
         return load_plane_graph(path)
     except FileNotFoundError:
         raise GraphFormatError({"error": "no_such_file", "path": path})
+    except OSError as exc:
+        raise GraphFormatError({"error": "unreadable_file", "path": path,
+                                "detail": str(exc)})
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError({"error": "bad_encoding", "path": path,
+                                "detail": str(exc)})
     except json.JSONDecodeError as exc:
         raise GraphFormatError({"error": "bad_json", "detail": str(exc)})
 
@@ -63,8 +69,12 @@ def _cmd_generate(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GraphFormatError({"error": "bad_output", "path": args.out,
+                                    "detail": str(exc)})
         _emit({"family": args.family, "k": args.k, "seed": args.seed,
                "ops": args.ops, "vertices": g.n, "out": args.out},
               args.json,

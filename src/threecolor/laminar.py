@@ -3,10 +3,23 @@
 ``extract`` implements the reduction dichotomy for a triangle-free plane
 graph: either some low-degree vertex v is reducible (identifying its
 neighbourhood keeps the graph triangle-free), or there is a laminar
-family of 5-cycles covering every low-degree vertex.  The family is
-found recursively: with no separating 5-cycle the set of *all* 5-cycles
-is laminar; otherwise the graph is split along a separating 5-cycle
-(kept on both sides) and the two families are merged.
+family of 5-cycles covering every low-degree vertex.
+
+In a triangle-free graph, v is reducible iff it lies on no 5-cycle.
+Identifying N(v) can only make a triangle through the merged vertex,
+m-x-y with x, y outside N[v]; x and y then have distinct neighbours
+u1, u2 in N(v), so v-u1-x-y-u2 is a 5-cycle, and every 5-cycle through
+v gives such a triangle.  ``identify_neighbors`` plus a triangle test is
+the definition this replaces; the tests keep it as the oracle.
+
+The family is found recursively: with no separating 5-cycle the set of
+*all* 5-cycles is laminar; otherwise the graph is split along a
+separating 5-cycle (kept on both sides) and the two families are
+merged.  The 5-cycles and their region partitions are computed once on
+the host graph, and the recursion works on sets of host vertices: a
+5-cycle is chordless, so each side is the induced subgraph on its
+vertex set, and since it inherits the host embedding, its regions are
+the host regions cut down to that set.
 
 A laminar family orders into a forest under interior containment;
 ``dilworth_decompose`` reads off a maximum chain (deepest root-to-leaf
@@ -21,18 +34,14 @@ from typing import Sequence
 
 from .errors import FalsificationError
 from .plane_graph import (
+    AbstractGraph,
     Cycle,
     PlaneGraph,
-    canonical_cycle,
     enumerate_cycles,
-    exterior_subgraph,
-    identify_neighbors,
     interior_faces,
-    interior_subgraph,
     is_laminar,
     is_triangle_free,
     low_degree_set,
-    map_vertices,
     region_partition,
     triangle_free,
     validate_cycle,
@@ -67,20 +76,23 @@ class LaminarOutcome:
 def extract(g: PlaneGraph, k: int) -> LaminarOutcome:
     """Run the dichotomy on a triangle-free plane graph.
 
-    Scans vertices of degree at most k in id order; the first v whose
-    identified graph stays triangle-free is returned as reducible.
-    Otherwise returns a laminar family of 5-cycles covering every vertex
-    of degree at most k (re-verified on every call).
+    The least vertex of degree at most k that lies on no 5-cycle is
+    returned as reducible (see the module docstring for why that is
+    reducibility).  Otherwise returns a laminar family of 5-cycles
+    covering every vertex of degree at most k (re-verified on every
+    call), built by splitting on separating 5-cycles over sets of host
+    vertices.
     """
     if not triangle_free(g):
         raise ValueError("extraction requires a triangle-free graph")
     if k < 0:
         raise ValueError("k must be non-negative")
     dk = low_degree_set(g, k)
-    v = _reducible_vertex(g, dk)
-    if v is not None:
-        return LaminarOutcome(kind="reducible", vertex=v, covered=frozenset(dk))
-    family = _covering_family(g, k)
+    fives = enumerate_cycles(g, 5)
+    free = dk.difference(*fives)
+    if free:
+        return LaminarOutcome(kind="reducible", vertex=min(free), covered=dk)
+    family = _covering_family(g, k, fives)
     if not is_laminar(g, family):
         raise FalsificationError("extracted family of 5-cycles is not laminar")
     on_family = set()
@@ -91,48 +103,90 @@ def extract(g: PlaneGraph, k: int) -> LaminarOutcome:
         raise FalsificationError(
             f"low-degree vertices not covered by any 5-cycle: "
             f"{sorted(g.label(v) for v in missing)}")
-    return LaminarOutcome(kind="family", covered=frozenset(dk),
+    return LaminarOutcome(kind="family", covered=dk,
                           family=CycleFamily(cycles=tuple(family), kind="laminar"))
 
 
-def _reducible_vertex(g: PlaneGraph, candidates) -> int | None:
-    """First vertex (in id order) whose identified graph is triangle-free."""
-    for v in sorted(candidates):
-        if is_triangle_free(identify_neighbors(g, v)):
-            return v
-    return None
+@dataclass(frozen=True)
+class _Region:
+    """A host 5-cycle with its vertex, interior and exterior sets, each
+    as a bitmask over host vertex ids."""
+
+    cycle: Cycle
+    vertices: int
+    interior: int
+    exterior: int
 
 
-def _covering_family(g: PlaneGraph, k: int) -> list[Cycle]:
-    """Recursive family construction by splitting on separating 5-cycles.
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
 
-    Only reached once the reducibility scan failed on the whole graph; it
-    is then a theorem that the scan also fails on every split side, so a
-    success below the top level is reported as a falsification.
+
+def _members(mask: int) -> list[int]:
+    """The vertex ids of a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _covering_family(g: PlaneGraph, k: int, fives: list[Cycle]) -> list[Cycle]:
+    """Family construction by splitting on separating 5-cycles.
+
+    A vertex set S stands for its induced subgraph.  A 5-cycle inside S
+    separates it iff its host interior and exterior both meet S; the cut
+    is the separating cycle with the fewest interior vertices in S (ties
+    to the least cycle), and its two sides are the cut plus its interior
+    or exterior part of S.  With no separating cycle, all 5-cycles
+    inside S join the family.
+
+    Only reached once no low-degree vertex of the host is reducible; it
+    is then a theorem that no vertex is reducible on any side either, so
+    a reducible vertex on a side is reported as a falsification.
     """
-    fives = enumerate_cycles(g, 5)
-    separating = []
+    regions = []
     for c in fives:
         parts = region_partition(g, c)
-        if parts.interior and parts.exterior:
-            separating.append((len(parts.interior), c))
-    if not separating:
-        return fives
-    _, cut = min(separating)
-    merged = set()
-    for side in (interior_subgraph(g, cut), exterior_subgraph(g, cut)):
-        if side.n >= g.n:
-            raise FalsificationError("separating cycle failed to shrink the graph")
-        if not triangle_free(side):
-            raise FalsificationError("split along a 5-cycle produced a triangle")
-        v = _reducible_vertex(side, low_degree_set(side, k))
-        if v is not None:
+        regions.append(_Region(c, _mask(c), _mask(parts.interior),
+                               _mask(parts.exterior)))
+    family: set = set()
+    work = [(_mask(g.vertices), regions)]
+    while work:
+        s, inside = work.pop()
+        separating = [((r.interior & s).bit_count(), r.cycle, r)
+                      for r in inside if r.interior & s and r.exterior & s]
+        if not separating:
+            family.update(r.cycle for r in inside)
+            continue
+        cut = min(separating)[2]
+        for side in (cut.vertices | (cut.interior & s),
+                     cut.vertices | (cut.exterior & s)):
+            if side.bit_count() >= s.bit_count():
+                raise FalsificationError("separating cycle failed to shrink the graph")
+            within = [r for r in inside if r.vertices & side == r.vertices]
+            _check_side(g, k, side, within)
+            work.append((side, within))
+    return sorted(family)
+
+
+def _check_side(g: PlaneGraph, k: int, side: int, within: list[_Region]) -> None:
+    """Guards on one split side: no triangle, and no vertex of degree at
+    most k (within the side) that lies on none of its 5-cycles."""
+    verts = _members(side)
+    keep = frozenset(verts)
+    induced = AbstractGraph(adj={v: g.neighbor_set(v) & keep for v in verts})
+    if not is_triangle_free(induced):
+        raise FalsificationError("split along a 5-cycle produced a triangle")
+    on_five = 0
+    for r in within:
+        on_five |= r.vertices
+    for v in _members(side & ~on_five):
+        if induced.degree(v) <= k:
             raise FalsificationError(
-                f"vertex {side.label(v)} became reducible inside a split, "
+                f"vertex {g.label(v)} became reducible inside a split, "
                 "which contradicts the reduction dichotomy")
-        for c in _covering_family(side, k):
-            merged.add(canonical_cycle(map_vertices(side, g, c)))
-    return sorted(merged)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,32 @@ These reimplement the checked quantities from their definitions, without
 touching the library's search machinery, so that frozen expected values
 are backed by a second computation path.  ``pattern_transition_entries``
 is the exception: it is the per-pattern transition matrix computation
-that the pinned counting sweep replaced, kept as its reference.
+that the pinned counting sweep replaced, kept as its reference, and
+``subgraph_extract`` is the extraction that rebuilt a plane graph for
+every split, kept as the reference of ``laminar.extract``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from threecolor import annulus_subgraph, count_with_boundary, map_vertices
+from threecolor import (
+    CycleFamily,
+    LaminarOutcome,
+    annulus_subgraph,
+    canonical_cycle,
+    count_with_boundary,
+    enumerate_cycles,
+    exterior_subgraph,
+    identify_neighbors,
+    interior_subgraph,
+    is_laminar,
+    is_triangle_free,
+    low_degree_set,
+    map_vertices,
+    region_partition,
+)
+from threecolor.errors import FalsificationError
 
 
 def scan_count_colorings(g) -> int:
@@ -99,3 +117,57 @@ def pattern_transition_entries(g, c1, c2):
             raw[s1][s2] += count_with_boundary(ann, fixed).count
     assert all(x % 6 == 0 for row in raw for x in row)
     return tuple(tuple(x // 6 for x in row) for row in raw)
+
+
+def subgraph_extract(g, k):
+    """The reduction dichotomy by its definitions: reducibility is tested
+    by identifying each candidate's neighbourhood, and every split
+    rebuilds both sides as plane graphs and re-enumerates their
+    5-cycles.  Same outcome and guards as ``laminar.extract``."""
+    if not is_triangle_free(g):
+        raise ValueError("extraction requires a triangle-free graph")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    dk = low_degree_set(g, k)
+    v = _reducible_vertex(g, dk)
+    if v is not None:
+        return LaminarOutcome(kind="reducible", vertex=v, covered=dk)
+    family = _subgraph_family(g, k)
+    if not is_laminar(g, family):
+        raise FalsificationError("extracted family of 5-cycles is not laminar")
+    missing = dk - {v for c in family for v in c}
+    if missing:
+        raise FalsificationError(f"uncovered low-degree vertices {sorted(missing)}")
+    return LaminarOutcome(kind="family", covered=dk,
+                          family=CycleFamily(cycles=tuple(family), kind="laminar"))
+
+
+def _reducible_vertex(g, candidates):
+    for v in sorted(candidates):
+        if is_triangle_free(identify_neighbors(g, v)):
+            return v
+    return None
+
+
+def _subgraph_family(g, k):
+    fives = enumerate_cycles(g, 5)
+    separating = []
+    for c in fives:
+        parts = region_partition(g, c)
+        if parts.interior and parts.exterior:
+            separating.append((len(parts.interior), c))
+    if not separating:
+        return fives
+    _, cut = min(separating)
+    merged = set()
+    for side in (interior_subgraph(g, cut), exterior_subgraph(g, cut)):
+        if side.n >= g.n:
+            raise FalsificationError("separating cycle failed to shrink the graph")
+        if not is_triangle_free(side):
+            raise FalsificationError("split along a 5-cycle produced a triangle")
+        v = _reducible_vertex(side, low_degree_set(side, k))
+        if v is not None:
+            raise FalsificationError(f"vertex {side.label(v)} became reducible")
+        for c in _subgraph_family(side, k):
+            merged.add(canonical_cycle(map_vertices(side, g, c)))
+    return sorted(merged)

@@ -157,6 +157,28 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert json.loads(stdout.splitlines()[0])["error"] == "bad_argument"
 
 
+def test_unreadable_input_exit_code(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"vertices": ["\xe9"]}')
+    for path, error in ((tmp_path, "unreadable_file"), (latin1, "bad_encoding")):
+        for argv in (("count", str(path)), ("analyze", str(path)),
+                     ("verify-bounds", str(path))):
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert json.loads(stdout.splitlines()[0])["error"] == error, argv
+            assert "Traceback" not in err
+
+
+def test_generate_unwritable_output_exit_code(tmp_path, capsys):
+    for out in (tmp_path / "missing_dir" / "x.json", tmp_path):
+        code, stdout, err = run_cli(capsys, "generate", "--family", "tower",
+                                    "--k", "2", "--out", str(out))
+        assert code == 2, out
+        record = json.loads(stdout.splitlines()[0])
+        assert record["error"] == "bad_output" and record["path"] == str(out)
+        assert "Traceback" not in err
+
+
 def test_triangle_input_rejected_by_analyze(tmp_path, capsys):
     from builders import chorded_pentagon
     from threecolor import plane_graph_to_json

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threecolor import (
+    FalsificationError,
     canonical_cycle,
     containment_forest,
     dilworth_decompose,
@@ -12,6 +15,7 @@ from threecolor import (
     pentagon_garden,
     pentagon_tower,
     perturbed_tower,
+    tower_pentagons,
 )
 
 from builders import (
@@ -23,6 +27,7 @@ from builders import (
     nested_pairs_graph,
     path_graph,
 )
+from oracles import subgraph_extract
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +94,44 @@ def test_extract_k_zero_vacuous():
     out = extract(g, 0)
     assert out.kind == "family"
     assert out.covered == frozenset()
+
+
+def _outcome(fn, g, k):
+    """The outcome, or the type of the exception raised instead."""
+    try:
+        return fn(g, k)
+    except (ValueError, FalsificationError) as exc:
+        return type(exc)
+
+
+def test_extract_matches_subgraph_oracle(corpus):
+    graphs = corpus + [("cycle5", cycle_graph(5)), ("path7", path_graph(7)),
+                       ("nested_pairs", nested_pairs_graph()),
+                       ("interleaved", interleaved_pentagons()),
+                       ("chorded", chorded_pentagon())]
+    for name, g in graphs:
+        for k in (3, 4, 213):
+            assert _outcome(extract, g, k) == _outcome(subgraph_extract, g, k), \
+                (name, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(perturbed_tower, st.integers(3, 8), st.integers(0, 10**6),
+                 st.integers(0, 4)),
+       st.sampled_from((3, 4, 213)))
+def test_extract_matches_subgraph_oracle_on_perturbed_towers(g, k):
+    assert extract(g, k) == subgraph_extract(g, k)
+
+
+def test_extract_large_tower_is_the_layer_chain():
+    g = pentagon_tower(100)
+    out = extract(g, 213)
+    assert out.kind == "family"
+    assert set(out.family.cycles) == {canonical_cycle(c)
+                                      for c in tower_pentagons(g, 100)}
+    assert len(out.family) == 100
+    chain, anti = dilworth_decompose(g, out.family)
+    assert (len(chain), len(anti)) == (100, 1)
 
 
 # ---------------------------------------------------------------------------

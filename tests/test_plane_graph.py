@@ -266,8 +266,6 @@ def test_identify_five_cycle_characterization(corpus):
     # in a triangle-free graph, identification stays triangle-free exactly
     # when the vertex avoids all 5-cycles
     for name, g in corpus:
-        if g.n > 25:
-            continue
         on_five = set()
         for c in enumerate_cycles(g, 5):
             on_five.update(c)
