@@ -58,6 +58,12 @@ def _load(path: str):
         raise GraphFormatError({"error": "bad_json", "detail": str(exc)})
 
 
+def _at_least_one(value: int, flag: str):
+    if value < 1:
+        raise GraphFormatError({"error": "bad_argument",
+                                "detail": f"{flag} must be at least 1"})
+
+
 def _cmd_generate(args) -> int:
     spec = GeneratorSpec(family=args.family, k=args.k, seed=args.seed,
                          ops=args.ops)
@@ -83,6 +89,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    _at_least_one(args.budget, "--budget")
     g = _load(args.graph)
     res = count_3_colorings_detailed(g, budget=args.budget)
     record = {"graph": args.graph, "count": res.count, "budget_used": res.nodes}
@@ -128,6 +135,7 @@ def _parse_cycle(g, text: str):
 
 
 def _cmd_transition(args) -> int:
+    _at_least_one(args.budget, "--budget")
     g = _load(args.graph)
     c1 = _parse_cycle(g, args.outer)
     c2 = _parse_cycle(g, args.inner)
@@ -145,9 +153,8 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_matrix_lemma(args) -> int:
-    if args.n < 1:
-        raise GraphFormatError({"error": "bad_argument",
-                                "detail": "--n must be at least 1"})
+    _at_least_one(args.n, "--n")
+    _at_least_one(args.trials, "--trials")
     rng = random.Random(args.seed)
     violations = 0
     first = None
@@ -171,6 +178,7 @@ def _cmd_matrix_lemma(args) -> int:
 
 
 def _cmd_verify_bounds(args) -> int:
+    _at_least_one(args.budget, "--budget")
     failures = 0
     for path in args.graphs:
         g = _load(path)

@@ -5,9 +5,13 @@ path decomposition of the graph.  After each vertex is placed, the
 placed vertices that still have an unplaced neighbour form the
 frontier, and a dict maps each coloring of the frontier to the number
 of proper colorings of the placed vertices that induce it.  Counts are
-exact Python integers.  Pinned vertices stay in the frontier until the
-end, so one sweep splits the count by their colors: this serves full
-counts, boundary counts, the extension test and transition matrices.
+exact Python integers.  Each pinned vertex, or each pinned group of
+vertices reduced to a tag of its colors, holds one frontier slot from
+the step its last member is placed until the end, so one sweep splits
+the count by the pinned colors or tags: this serves full counts,
+boundary counts, the extension test and transition matrices.  What
+each vertex step does to the frontier is planned once, before any
+state is visited.
 Colors are the literals 1, 2, 3 and colorings are counted as labeled
 objects (color permutations give distinct colorings).
 
@@ -20,8 +24,9 @@ import json
 import logging
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, GraphFormatError
 from .plane_graph import PlaneGraph, canonical_cycle
@@ -56,9 +61,100 @@ class CountResult:
     nodes: int      # frontier state updates spent
 
 
-def pinned_counts(g, pinned: Sequence[int] = (),
+def _picker(idx: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The projection of a state tuple onto the slots ``idx``, as a tuple."""
+    if len(idx) == 1:
+        (i,) = idx
+        return lambda s: (s[i],)
+    if not idx:
+        return lambda s: ()
+    return itemgetter(*idx)
+
+
+class _Step(NamedTuple):
+    """What placing one vertex does to the frontier, planned once.
+
+    ``nbrs`` reads the colors of the vertex's placed neighbours from a
+    state (a bare color when there is one neighbour, else a tuple);
+    ``allowed`` memoizes those colors to the vertex's allowed colors;
+    ``key`` maps the grown state to the next state, or is ``None`` when
+    the grown state is already the next state.
+    """
+
+    nbrs: Callable
+    single: bool
+    choices: tuple
+    allowed: dict
+    key: Callable | None
+
+
+def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
+          tag: Callable | None) -> tuple[list, Callable | None]:
+    """Plan every vertex step of the sweep, plus the final reordering of
+    the group slots into group order (``None`` when already in order).
+
+    A frontier slot is ``("v", u)`` for a placed vertex that is still
+    needed, or ``("t", i)`` for group ``i`` once all its members are
+    placed; it holds the group's tag, or without ``tag`` the color of
+    its single member.  New group slots go in front, so a step at which
+    no vertex leaves and no group completes keeps the grown state as is.
+    """
+    pos = {v: p for p, v in enumerate(order)}
+    last = {v: max((pos[w] for w in g.neighbors(v)), default=-1) for v in order}
+    held: dict = {}          # vertex -> last step at which a group needs it
+    completes: dict = {}     # step -> groups whose last member is placed there
+    for i, grp in enumerate(groups):
+        done = max(pos[v] for v in grp)
+        completes.setdefault(done, []).append(i)
+        for v in grp:
+            held[v] = max(held.get(v, -1), done)
+    steps = []
+    layout: list = []
+    for p, v in enumerate(order):
+        nbrs = set(g.neighbors(v))
+        checks = [i for i, (kind, u) in enumerate(layout)
+                  if kind == "v" and u in nbrs]
+        grown = layout + [("v", v)]
+        kept = [x for x in grown
+                if x[0] == "t" or last[x[1]] > p or held.get(x[1], -1) > p]
+        proj = (None if len(kept) == len(grown)
+                else _picker([grown.index(x) for x in kept]))
+        done = completes.get(p, ())
+        key = proj
+        if done:
+            key = _group_slots(grown, [groups[i] for i in done], tag, proj)
+            kept = [("t", i) for i in done] + kept
+        steps.append(_Step(
+            nbrs=itemgetter(*checks) if checks else (lambda s: ()),
+            single=len(checks) == 1,
+            choices=(fixed[v],) if v in fixed else (1, 2, 3),
+            allowed={}, key=key))
+        layout = kept
+    final = [layout.index(("t", i)) for i in range(len(groups))]
+    return steps, (None if final == list(range(len(layout))) else _picker(final))
+
+
+def _group_slots(grown: list, done: list, tag: Callable | None,
+                 proj: Callable | None) -> Callable:
+    """The key function of a step at which the groups ``done`` complete:
+    their new slots in front of the projected grown state."""
+    if tag is None:
+        extra = _picker([grown.index(("v", grp[0])) for grp in done])
+    else:
+        picks = [_picker([grown.index(("v", u)) for u in grp]) for grp in done]
+
+        def extra(full):
+            return tuple([tag(pick(full)) for pick in picks])
+    if proj is None:
+        return lambda full: extra(full) + full
+    return lambda full: extra(full) + proj(full)
+
+
+def pinned_counts(g, pinned: Sequence = (),
                   fixed: Mapping[int, int] | None = None,
-                  budget: int = DEFAULT_BUDGET) -> tuple[dict, int]:
+                  budget: int = DEFAULT_BUDGET,
+                  tag: Callable[[tuple], Hashable] | None = None
+                  ) -> tuple[dict, int]:
     """Count proper 3-colorings split by the colors of ``pinned``.
 
     Returns ``(states, updates)``: ``states`` maps each tuple of colors
@@ -67,6 +163,13 @@ def pinned_counts(g, pinned: Sequence[int] = (),
     number of frontier state updates spent.  ``fixed`` forces colors on
     some vertices.  More than ``budget`` updates raise
     :class:`BudgetExceededError`.
+
+    With ``tag``, ``pinned`` is a sequence of vertex groups (groups may
+    share vertices) and the keys are tuples of ``tag(colors of the
+    group)``, one per group.  A group's tag is taken as soon as its last
+    member is placed, and its members then leave the frontier like any
+    other vertex, so the sweep carries one slot per group instead of
+    its colors.
     """
     fixed = dict(fixed or {})
     verts = set(g.vertices)
@@ -75,38 +178,38 @@ def pinned_counts(g, pinned: Sequence[int] = (),
             raise ValueError(f"vertex {v} not in graph")
         if c not in (1, 2, 3):
             raise ValueError(f"color must be 1, 2 or 3, got {c}")
-    for v in pinned:
-        if v not in verts:
-            raise ValueError(f"vertex {v} not in graph")
-    order = _bfs_order(g)
-    pos = {v: p for p, v in enumerate(order)}
-    last = {v: max((pos[w] for w in g.neighbors(v)), default=-1) for v in order}
-    kept = set(pinned)
-    frontier: list = []
+    groups = [(v,) for v in pinned] if tag is None else [tuple(p) for p in pinned]
+    for grp in groups:
+        if not grp:
+            raise ValueError("pinned groups must not be empty")
+        for v in grp:
+            if v not in verts:
+                raise ValueError(f"vertex {v} not in graph")
+    steps, final = _plan(_bfs_order(g), g, groups, fixed, tag)
     states = {(): 1}
     updates = 0
-    for p, v in enumerate(order):
-        nbrs = set(g.neighbors(v))
-        checks = [i for i, u in enumerate(frontier) if u in nbrs]
-        grown = frontier + [v]
-        keep = [i for i, u in enumerate(grown) if u in kept or last[u] > p]
-        choices = (fixed[v],) if v in fixed else (1, 2, 3)
+    for nbrs, single, choices, memo, key in steps:
         nxt: dict = {}
+        get = nxt.get
         for state, cnt in states.items():
-            banned = {state[i] for i in checks}
-            for c in choices:
-                if c in banned:
-                    continue
+            seen = nbrs(state)
+            allowed = memo.get(seen)
+            if allowed is None:
+                banned = (seen,) if single else seen
+                allowed = memo[seen] = tuple(c for c in choices
+                                             if c not in banned)
+            for c in allowed:
                 full = state + (c,)
-                key = tuple([full[i] for i in keep])
-                nxt[key] = nxt.get(key, 0) + cnt
-                updates += 1
+                if key is not None:
+                    full = key(full)
+                nxt[full] = get(full, 0) + cnt
+            updates += len(allowed)
         if updates > budget:
             raise BudgetExceededError(budget)
         states = nxt
-        frontier = [grown[i] for i in keep]
-    at = [frontier.index(v) for v in pinned]
-    return {tuple([s[i] for i in at]): cnt for s, cnt in states.items()}, updates
+    if final is None:
+        return states, updates
+    return {final(s): cnt for s, cnt in states.items()}, updates
 
 
 def count_3_colorings(g, budget: int = DEFAULT_BUDGET) -> int:

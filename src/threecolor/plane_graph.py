@@ -104,7 +104,8 @@ class PlaneGraph:
     :class:`GraphFormatError` with a machine-readable report otherwise.
 
     Instances are immutable after construction; all derived structure
-    (faces, interiors) is cached and safe to share across threads.
+    (faces, interiors, region partitions) is cached and safe to share
+    across threads.
     """
 
     def __init__(self, labels: Sequence[str], rotation: Sequence[Sequence[int]],
@@ -119,6 +120,7 @@ class PlaneGraph:
         self._check_euler()
         self.outer_face = self._resolve_outer(outer_walk, outer_dart)
         self._interior_cache: dict[Cycle, frozenset] = {}
+        self._partition_cache: dict[Cycle, RegionPartition] = {}
 
     # -- construction-time checks -----------------------------------------
 
@@ -421,8 +423,14 @@ class RegionPartition:
 
 
 def region_partition(g: PlaneGraph, cycle: Sequence[int]) -> RegionPartition:
-    """Split the vertex set into interior / exterior / boundary of a cycle."""
+    """Split the vertex set into interior / exterior / boundary of a cycle.
+
+    Memoized per graph and cycle, once the cross-cycle edge check passed.
+    """
     c = validate_cycle(g, cycle)
+    cached = g._partition_cache.get(c)
+    if cached is not None:
+        return cached
     inside = interior_faces(g, c)
     boundary = frozenset(c)
     interior = frozenset(
@@ -435,7 +443,9 @@ def region_partition(g: PlaneGraph, cycle: Sequence[int]) -> RegionPartition:
             raise FalsificationError(
                 f"edge joins interior to exterior across cycle: "
                 f"{g.label(v)}-{g.label(next(iter(bad)))}")
-    return RegionPartition(interior=interior, exterior=exterior, boundary=boundary)
+    parts = RegionPartition(interior=interior, exterior=exterior, boundary=boundary)
+    g._partition_cache[c] = parts
+    return parts
 
 
 def crosses(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int]) -> bool:

@@ -177,15 +177,31 @@ def _special_index(colors: Sequence[int]) -> int:
     return next(i for i in range(5) if colors.count(colors[i]) == 1)
 
 
+_SPECIAL = {p: _special_index(p) for p in product((1, 2, 3), repeat=5)
+            if all(p[i] != p[(i + 1) % 5] for i in range(5))}
+"""The special position of each of the 30 proper 5-cycle colorings."""
+
+
+def _special_position(colors: tuple) -> int:
+    """The tag that folds a pinned pentagon's colors into its special
+    position during the sweep."""
+    try:
+        return _SPECIAL[colors]
+    except KeyError:
+        raise FalsificationError(
+            f"pentagon colored {colors} in a proper coloring of the "
+            "annulus is not a proper 5-cycle coloring") from None
+
+
 def transition_matrix(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int],
                       budget: int = DEFAULT_BUDGET) -> TransitionMatrix:
     """Compute the color transition matrix between nested 5-cycles.
 
-    One counting sweep over the annulus pins both cycles (``budget``
-    caps its state updates) and returns the colorings split by the
-    colors of the ten boundary positions; these are grouped by the two
-    special vertices.  Every raw cell is checked to be divisible by 6
-    before division.
+    One counting sweep over the annulus pins both cycles as groups
+    tagged by their special position (``budget`` caps its state
+    updates), so it returns the colorings split by the pair of special
+    vertices.  Every raw cell is checked to be divisible by 6 before
+    division.
     """
     k1 = validate_cycle(g, c1)
     k2 = validate_cycle(g, c2)
@@ -194,11 +210,12 @@ def transition_matrix(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int],
     ann = annulus_subgraph(g, k1, k2)
     rows = map_vertices(g, ann, k1)
     cols = map_vertices(g, ann, k2)
-    states, _ = pinned_counts(ann, rows + cols, budget=budget)
+    states, _ = pinned_counts(ann, (rows, cols), budget=budget,
+                              tag=_special_position)
 
     raw = [[0] * 5 for _ in range(5)]
-    for colors, cnt in states.items():
-        raw[_special_index(colors[:5])][_special_index(colors[5:])] += cnt
+    for (i, j), cnt in states.items():
+        raw[i][j] += cnt
     for i in range(5):
         for j in range(5):
             if raw[i][j] % 6:

@@ -157,6 +157,28 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert json.loads(stdout.splitlines()[0])["error"] == "bad_argument"
 
 
+def test_nonpositive_budget_and_trials_exit_code(tmp_path, capsys):
+    tower = tmp_path / "t.json"
+    run_cli(capsys, "generate", "--family", "tower", "--k", "2", "--out", str(tower))
+    pair = ("--outer", "v1.0,v1.1,v1.2,v1.3,v1.4",
+            "--inner", "v0.0,v0.1,v0.2,v0.3,v0.4")
+    for budget in ("0", "-5"):
+        for argv in (("count", str(tower)), ("transition", str(tower), *pair),
+                     ("verify-bounds", str(tower))):
+            code, stdout, err = run_cli(capsys, *argv, "--budget", budget)
+            assert code == 2, argv
+            assert json.loads(stdout.splitlines()[0])["error"] == "bad_argument"
+            assert "Traceback" not in err
+    for trials in ("0", "-2"):
+        code, stdout, _ = run_cli(capsys, "matrix-lemma", "--trials", trials)
+        assert code == 2, trials
+        record = json.loads(stdout.splitlines()[0])
+        assert record["error"] == "bad_argument" and "pass" not in record
+    # the smallest accepted values still run
+    assert run_cli(capsys, "matrix-lemma", "--trials", "1")[0] == 0
+    assert run_cli(capsys, "count", str(tower), "--budget", "1")[0] == 3
+
+
 def test_unreadable_input_exit_code(tmp_path, capsys):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"vertices": ["\xe9"]}')

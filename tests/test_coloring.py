@@ -14,8 +14,10 @@ from threecolor import (
     coloring_to_json,
     colorings_from_switching,
     count_3_colorings,
+    count_3_colorings_detailed,
     count_with_boundary,
     delete_interior_regions,
+    dodecahedron,
     enumerate_3_colorings,
     extends,
     identify_neighbors,
@@ -136,6 +138,49 @@ def test_pinned_and_boundary_counts_match_filtered_enumeration(data):
     states, _ = pinned_counts(g, pins, fixed)
     assert states == Counter(tuple(c[v] for v in pins) for c in extending)
     assert count_with_boundary(g, fixed).count == len(extending)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tagged_groups_match_hand_bucketed_pins(data):
+    g = data.draw(count_inputs())
+    verts = sorted(g.vertices)
+    fixed_at = data.draw(st.lists(st.sampled_from(verts), unique=True, max_size=3))
+    fixed = {v: data.draw(st.integers(1, 3)) for v in fixed_at}
+    # groups may overlap and may repeat a vertex
+    groups = data.draw(st.lists(
+        st.lists(st.sampled_from(verts), min_size=1, max_size=5).map(tuple),
+        max_size=3))
+    flat = [v for grp in groups for v in grp]
+    plain, plain_updates = pinned_counts(g, flat, fixed)
+    for tag, same_updates in ((lambda cols: sum(cols) % 3, False),
+                              (lambda cols: cols, True)):
+        expected = Counter()
+        for colors, cnt in plain.items():
+            it = iter(colors)
+            expected[tuple(tag(tuple(next(it) for _ in grp))
+                           for grp in groups)] += cnt
+        got, updates = pinned_counts(g, groups, fixed, tag=tag)
+        assert got == expected
+        # a tagged state is a function of the untagged one, and the
+        # identity tag loses nothing
+        assert updates == plain_updates if same_updates else updates <= plain_updates
+
+
+def test_tagged_groups_reject_empty_and_unknown_members():
+    g = cycle_graph(5)
+    with pytest.raises(ValueError):
+        pinned_counts(g, [(0, 1), ()], tag=sum)
+    with pytest.raises(ValueError):
+        pinned_counts(g, [(0, 9)], tag=sum)
+
+
+def test_state_update_counts_are_pinned():
+    # ``budget`` and ``budget_used`` count these frontier state updates,
+    # so a rewrite of the sweep must not change them
+    for k, nodes in zip(range(3, 7), (1113, 1827, 2541, 3255)):
+        assert count_3_colorings_detailed(pentagon_tower(k)).nodes == nodes
+    assert count_3_colorings_detailed(dodecahedron()).nodes == 4365
 
 
 def test_budget_error():

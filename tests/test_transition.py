@@ -19,6 +19,7 @@ from threecolor import (
     majorizes,
     matrix_report,
     pentagon_tower,
+    perturbed_tower,
     potential,
     s_k,
     shared_path_pentagons,
@@ -235,6 +236,24 @@ def test_sweep_matches_pattern_oracle():
         m = transition_matrix(g, outer, inner)
         assert m.entries == pattern_transition_entries(
             g, m.row_labels, m.col_labels), name
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 99), st.integers(0, 4))
+def test_outer_to_inner_matrix_matches_pattern_oracle(height, seed, ops):
+    # the widest annulus of a (perturbed, for ops > 0) tower
+    g = perturbed_tower(height, seed, ops)
+    pents = tower_pentagons(g, height)
+    m = transition_matrix(g, pents[-1], pents[0])
+    assert m.entries == pattern_transition_entries(g, m.row_labels, m.col_labels)
+    assert m.raw_count == count_3_colorings(g)
+
+
+def test_special_position_tag_rejects_improper_pentagon():
+    from threecolor.transition import _special_position
+    assert _special_position((1, 2, 1, 2, 3)) == 4
+    with pytest.raises(FalsificationError):
+        _special_position((1, 1, 2, 1, 2))
 
 
 # ---------------------------------------------------------------------------
