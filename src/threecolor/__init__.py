@@ -59,6 +59,7 @@ from .laminar import (
     containment_forest,
     dilworth_decompose,
     extract,
+    is_laminar,
 )
 from .plane_graph import (
     AbstractGraph,
@@ -74,7 +75,6 @@ from .plane_graph import (
     identify_neighbors,
     interior_faces,
     interior_subgraph,
-    is_laminar,
     is_triangle_free,
     load_plane_graph,
     low_degree_set,

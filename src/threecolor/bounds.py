@@ -11,7 +11,9 @@ declared failed from a rounding artifact.
 reduction dichotomy (k defaults to 213), decompose any extracted family
 into a chain and an antichain, check every applicable bound, and when a
 chain of two or more cycles exists also check that six times the
-composed transition-matrix total never exceeds the exact count.
+composed transition-matrix total never exceeds the exact count.  One
+budget of state updates covers the count and every layer sweep of the
+chain, and ``budget_used`` is their sum.
 """
 
 from __future__ import annotations
@@ -151,12 +153,26 @@ def chain_matrix_total(g: PlaneGraph, chain: Sequence,
     """Total of the transition matrix composed along a chain of 5-cycles.
 
     The chain is sorted outermost first; consecutive members give the
-    layer matrices whose product is the end-to-end matrix.
+    layer matrices whose product is the end-to-end matrix.  ``budget``
+    caps the state updates of all layer sweeps together.
     """
+    return _chain_total(g, chain, budget, 0)[0]
+
+
+def _chain_total(g: PlaneGraph, chain: Sequence, budget: int,
+                 spent: int) -> tuple[int, int]:
+    """``chain_matrix_total`` with ``spent`` updates already charged to
+    ``budget``; returns the total and the updates spent in all."""
     ordered = sorted(chain, key=lambda c: len(interior_faces(g, c)), reverse=True)
-    mats = [transition_matrix(g, ordered[i], ordered[i + 1], budget=budget)
-            for i in range(len(ordered) - 1)]
-    return compose(mats).total
+    mats = []
+    for outer, inner in zip(ordered, ordered[1:]):
+        try:
+            m = transition_matrix(g, outer, inner, budget=budget - spent)
+        except BudgetExceededError:
+            raise BudgetExceededError(budget) from None
+        spent += m.updates
+        mats.append(m)
+    return compose(mats).total, spent
 
 
 def verify(g: PlaneGraph, k: int = DEFAULT_K, budget: int = DEFAULT_BUDGET,
@@ -166,6 +182,7 @@ def verify(g: PlaneGraph, k: int = DEFAULT_K, budget: int = DEFAULT_BUDGET,
         raise ValueError("bound verification requires a triangle-free graph")
     res = count_3_colorings_detailed(g, budget=budget)
     count = res.count
+    used = res.nodes
     n = g.n
     outcome = extract(g, k)
     chain = antichain = None
@@ -180,13 +197,14 @@ def verify(g: PlaneGraph, k: int = DEFAULT_K, budget: int = DEFAULT_BUDGET,
         antichain_pass = antichain_bound(count, len(antichain))
         sizes_pass = decomposition_sizes_ok(len(chain), len(antichain), family_size)
         if len(chain) >= 2:
-            matrix_check = 6 * chain_matrix_total(g, chain, budget=budget) <= count
+            total, used = _chain_total(g, chain, budget, used)
+            matrix_check = 6 * total <= count
     return BoundReport(
         graph=graph_name,
         n=n,
         k=k,
         exact_count=count,
-        budget_used=res.nodes,
+        budget_used=used,
         main_threshold=main_bound_value(n),
         main_pass=meets_main_bound(count, n),
         outcome=outcome.kind,

@@ -21,10 +21,10 @@ the host graph, and the recursion works on sets of host vertices: a
 vertex set, and since it inherits the host embedding, its regions are
 the host regions cut down to that set.
 
-A laminar family orders into a forest under interior containment;
-``dilworth_decompose`` reads off a maximum chain (deepest root-to-leaf
-path) and a maximum antichain (independent-set DP on the forest), whose
-size product is at least the family size.
+A laminar family orders into a forest under interior containment, built
+in one pass that also decides laminarity; ``dilworth_decompose`` reads
+off a maximum chain (deepest root-to-leaf path) and a maximum antichain
+(the leaves), whose size product is at least the family size.
 """
 
 from __future__ import annotations
@@ -34,13 +34,10 @@ from typing import Sequence
 
 from .errors import FalsificationError
 from .plane_graph import (
-    AbstractGraph,
     Cycle,
     PlaneGraph,
     enumerate_cycles,
     interior_faces,
-    is_laminar,
-    is_triangle_free,
     low_degree_set,
     region_partition,
     triangle_free,
@@ -93,12 +90,9 @@ def extract(g: PlaneGraph, k: int) -> LaminarOutcome:
     if free:
         return LaminarOutcome(kind="reducible", vertex=min(free), covered=dk)
     family = _covering_family(g, k, fives)
-    if not is_laminar(g, family):
+    if _forest(g, family) is None:
         raise FalsificationError("extracted family of 5-cycles is not laminar")
-    on_family = set()
-    for c in family:
-        on_family.update(c)
-    missing = dk - on_family
+    missing = dk.difference(*family)
     if missing:
         raise FalsificationError(
             f"low-degree vertices not covered by any 5-cycle: "
@@ -146,6 +140,7 @@ def _covering_family(g: PlaneGraph, k: int, fives: list[Cycle]) -> list[Cycle]:
     is then a theorem that no vertex is reducible on any side either, so
     a reducible vertex on a side is reported as a falsification.
     """
+    nbrs = [_mask(g.neighbors(v)) for v in g.vertices]
     regions = []
     for c in fives:
         parts = region_partition(g, c)
@@ -166,24 +161,23 @@ def _covering_family(g: PlaneGraph, k: int, fives: list[Cycle]) -> list[Cycle]:
             if side.bit_count() >= s.bit_count():
                 raise FalsificationError("separating cycle failed to shrink the graph")
             within = [r for r in inside if r.vertices & side == r.vertices]
-            _check_side(g, k, side, within)
+            _check_side(g, k, side, within, nbrs)
             work.append((side, within))
     return sorted(family)
 
 
-def _check_side(g: PlaneGraph, k: int, side: int, within: list[_Region]) -> None:
-    """Guards on one split side: no triangle, and no vertex of degree at
-    most k (within the side) that lies on none of its 5-cycles."""
-    verts = _members(side)
-    keep = frozenset(verts)
-    induced = AbstractGraph(adj={v: g.neighbor_set(v) & keep for v in verts})
-    if not is_triangle_free(induced):
-        raise FalsificationError("split along a 5-cycle produced a triangle")
+def _check_side(g: PlaneGraph, k: int, side: int, within: list[_Region],
+                nbrs: list[int]) -> None:
+    """Guard on one split side: no vertex of side degree at most k
+    (``nbrs`` holds the host neighbour masks) lies on none of its
+    5-cycles.  A side is an induced subgraph of the host, so a triangle
+    in it is a triangle of the host, which ``extract`` rejects at entry.
+    """
     on_five = 0
     for r in within:
         on_five |= r.vertices
     for v in _members(side & ~on_five):
-        if induced.degree(v) <= k:
+        if (nbrs[v] & side).bit_count() <= k:
             raise FalsificationError(
                 f"vertex {g.label(v)} became reducible inside a split, "
                 "which contradicts the reduction dichotomy")
@@ -198,8 +192,9 @@ class ContainmentForest:
     """The interior-containment order of a laminar family, as a forest.
 
     ``parent[c]`` is the minimal member strictly containing c (None for
-    roots).  Supplies the two extremal structures: the deepest
-    root-to-leaf path and a maximum antichain via independent-set DP.
+    roots) and ``depth[c]`` counts the members containing c, itself
+    included.  Supplies the two extremal structures: the deepest
+    root-to-leaf path and a maximum antichain, the leaves.
     """
 
     parent: dict = field(default_factory=dict)
@@ -218,52 +213,51 @@ class ContainmentForest:
         return tuple(reversed(path))
 
     def max_antichain(self) -> tuple:
-        best: dict = {}
+        # every antichain member has a leaf below it, and distinct
+        # members have disjoint subtrees: no antichain beats the leaves
+        return tuple(sorted(c for c, kids in self.children.items() if not kids))
 
-        def rec(c) -> tuple:
-            got = best.get(c)
-            if got is None:
-                kids = self.children[c]
-                if kids:
-                    got = tuple(x for kid in kids for x in rec(kid))
-                else:
-                    got = (c,)
-                best[c] = got
-            return got
 
-        return tuple(sorted(x for r in self.roots for x in rec(r)))
+def _forest(g: PlaneGraph, family: Sequence) -> ContainmentForest | None:
+    """The containment forest of a family, or None if two members cross.
+
+    Members are visited by decreasing interior size (ties to the least
+    cycle); each face remembers the last visited member holding it.  In
+    a laminar family all faces of c then name one owner, c's parent; if
+    c crosses an earlier d, a face in both and one in c only do not.
+    """
+    cycles = sorted({validate_cycle(g, c) for c in family})
+    regions = {c: interior_faces(g, c) for c in cycles}
+    forest = ContainmentForest(children={c: [] for c in cycles})
+    owner: dict = {}
+    for c in sorted(cycles, key=lambda c: (-len(regions[c]), c)):
+        owners = {owner.get(f) for f in regions[c]}
+        if len(owners) > 1:
+            return None
+        parent = owners.pop()
+        forest.parent[c] = parent
+        if parent is None:
+            forest.depth[c] = 1
+        else:
+            forest.depth[c] = forest.depth[parent] + 1
+            forest.children[parent].append(c)
+        owner.update(dict.fromkeys(regions[c], c))
+    for kids in forest.children.values():
+        kids.sort()
+    forest.roots = tuple(c for c in cycles if forest.parent[c] is None)
+    return forest
+
+
+def is_laminar(g: PlaneGraph, family: Sequence) -> bool:
+    """True iff no two cycles of the family cross."""
+    return _forest(g, family) is not None
 
 
 def containment_forest(g: PlaneGraph, family: Sequence) -> ContainmentForest:
     """Order a laminar family by interior containment."""
-    cycles = sorted({validate_cycle(g, c) for c in family})
-    if not is_laminar(g, cycles):
+    forest = _forest(g, family)
+    if forest is None:
         raise ValueError("family is not laminar")
-    regions = {c: interior_faces(g, c) for c in cycles}
-    by_size = sorted(cycles, key=lambda c: (len(regions[c]), c))
-    forest = ContainmentForest()
-    for c in cycles:
-        forest.children[c] = []
-    for c in cycles:
-        parent = None
-        for d in by_size:
-            if d != c and regions[c] < regions[d]:
-                parent = d
-                break
-        forest.parent[c] = parent
-        if parent is not None:
-            forest.children[parent].append(c)
-    for kids in forest.children.values():
-        kids.sort()
-    forest.roots = tuple(sorted(c for c in cycles if forest.parent[c] is None))
-
-    def set_depth(c, d):
-        forest.depth[c] = d
-        for kid in forest.children[c]:
-            set_depth(kid, d + 1)
-
-    for r in forest.roots:
-        set_depth(r, 1)
     return forest
 
 
@@ -274,11 +268,7 @@ def dilworth_decompose(g: PlaneGraph, family) -> tuple[CycleFamily, CycleFamily]
     at least the square root of it; the caller picks whichever side its
     bound needs.
     """
-    if isinstance(family, CycleFamily):
-        cycles = list(family.cycles)
-    else:
-        cycles = list(family)
-    forest = containment_forest(g, cycles)
+    forest = containment_forest(g, family)
     chain = forest.deepest_chain()
     antichain = forest.max_antichain()
     m = len(forest.parent)
@@ -286,9 +276,8 @@ def dilworth_decompose(g: PlaneGraph, family) -> tuple[CycleFamily, CycleFamily]
         raise FalsificationError(
             f"chain x antichain = {len(chain)} x {len(antichain)} < "
             f"family size {m}")
-    for i, c in enumerate(antichain):
-        for d in antichain[i + 1:]:
-            if interior_faces(g, c) & interior_faces(g, d):
-                raise FalsificationError("antichain members share interior")
+    anti_regions = [interior_faces(g, c) for c in antichain]
+    if sum(map(len, anti_regions)) != len(frozenset().union(*anti_regions)):
+        raise FalsificationError("antichain members share interior")
     return (CycleFamily(cycles=chain, kind="chain"),
             CycleFamily(cycles=antichain, kind="antichain"))

@@ -454,21 +454,8 @@ def crosses(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int]) -> bool:
     Cycles whose interiors are nested or disjoint (including pairs that
     share only boundary vertices or edges) do not cross.
     """
-    return _regions_cross(interior_faces(g, c1), interior_faces(g, c2))
-
-
-def _regions_cross(f1: frozenset, f2: frozenset) -> bool:
+    f1, f2 = interior_faces(g, c1), interior_faces(g, c2)
     return not (f1.isdisjoint(f2) or f1 <= f2 or f2 <= f1)
-
-
-def is_laminar(g: PlaneGraph, family: Iterable[Sequence[int]]) -> bool:
-    """True iff no two cycles of the family cross."""
-    regions = [interior_faces(g, c) for c in family]
-    for i, f1 in enumerate(regions):
-        for f2 in regions[i + 1:]:
-            if _regions_cross(f1, f2):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations, permutations, product
 from typing import Sequence
@@ -52,12 +52,15 @@ class TransitionMatrix:
 
     ``row_labels``/``col_labels`` are the outer/inner cycle vertices in
     canonical cycle order; entry (i, j) corresponds to special vertices
-    row_labels[i] and col_labels[j].
+    row_labels[i] and col_labels[j].  ``updates`` is the number of state
+    updates of the sweep that computed the matrix (0 for products and
+    hand-made matrices); it takes no part in equality.
     """
 
     entries: Matrix
     row_labels: tuple
     col_labels: tuple
+    updates: int = field(default=0, compare=False, repr=False)
 
     @property
     def raw_count(self) -> int:
@@ -210,8 +213,8 @@ def transition_matrix(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int],
     ann = annulus_subgraph(g, k1, k2)
     rows = map_vertices(g, ann, k1)
     cols = map_vertices(g, ann, k2)
-    states, _ = pinned_counts(ann, (rows, cols), budget=budget,
-                              tag=_special_position)
+    states, updates = pinned_counts(ann, (rows, cols), budget=budget,
+                                    tag=_special_position)
 
     raw = [[0] * 5 for _ in range(5)]
     for (i, j), cnt in states.items():
@@ -223,7 +226,8 @@ def transition_matrix(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int],
                     f"raw special-pair count {raw[i][j]} at ({i}, {j}) is "
                     "not divisible by 6")
     entries = tuple(tuple(raw[i][j] // 6 for j in range(5)) for i in range(5))
-    return TransitionMatrix(entries=entries, row_labels=k1, col_labels=k2)
+    return TransitionMatrix(entries=entries, row_labels=k1, col_labels=k2,
+                            updates=updates)
 
 
 def compose(ms: Sequence[TransitionMatrix]) -> TransitionMatrix:

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import math
 
-from threecolor import PlaneGraph, pentagon_tower, perturbed_tower, tower_pentagons
+from threecolor import (
+    PlaneGraph,
+    canonical_cycle,
+    pentagon_tower,
+    perturbed_tower,
+    tower_pentagons,
+)
 from threecolor.generators import _graph_from_layout
 
 
@@ -92,6 +98,43 @@ def nested_pairs_family(g: PlaneGraph):
     fam = [tuple(g.index(f"q{i}.{j}") for j in range(5)) for i in range(2)]
     fam += [tuple(g.index(f"r{i}.{j}") for j in range(5)) for i in range(2)]
     return fam
+
+
+def face_set_boundary(g: PlaneGraph, faces):
+    """The cycle bounding a set of faces (the edges on exactly one of
+    their walks), or None when that edge set is not a single cycle."""
+    odd: set = set()
+    for f in faces:
+        walk = g.faces[f]
+        odd ^= {frozenset((walk[i - 1], walk[i])) for i in range(len(walk))}
+    adj: dict = {}
+    for u, v in map(tuple, odd):
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if not adj or any(len(nbrs) != 2 for nbrs in adj.values()):
+        return None
+    path = [min(adj)]
+    nxt = adj[path[0]][0]
+    while nxt != path[0]:
+        a, b = adj[nxt]
+        path.append(nxt)
+        nxt = b if a == path[-2] else a
+    return canonical_cycle(path) if len(path) == len(adj) else None
+
+
+def small_cycles(g: PlaneGraph):
+    """Cycles bounding one inner face or two adjacent inner faces, each
+    with its interior face set.  Two of them that share exactly one
+    face cross."""
+    inner = [f for f in range(len(g.faces)) if f != g.outer_face]
+    out = {}
+    for i, f in enumerate(inner):
+        for h in inner[i:]:
+            faces = frozenset((f, h))
+            c = face_set_boundary(g, faces)
+            if c is not None:
+                out[c] = faces
+    return sorted(out.items())
 
 
 def annulus_instances():

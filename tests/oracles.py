@@ -6,7 +6,9 @@ are backed by a second computation path.  ``pattern_transition_entries``
 is the exception: it is the per-pattern transition matrix computation
 that the pinned counting sweep replaced, kept as its reference, and
 ``subgraph_extract`` is the extraction that rebuilt a plane graph for
-every split, kept as the reference of ``laminar.extract``.
+every split, kept as the reference of ``laminar.extract``, and
+``pairwise_laminar`` is the all-pairs crossing test that the one-pass
+containment forest replaced.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from threecolor import (
     enumerate_cycles,
     exterior_subgraph,
     identify_neighbors,
+    interior_faces,
     interior_subgraph,
-    is_laminar,
     is_triangle_free,
     low_degree_set,
     map_vertices,
@@ -119,6 +121,17 @@ def pattern_transition_entries(g, c1, c2):
     return tuple(tuple(x // 6 for x in row) for row in raw)
 
 
+def pairwise_laminar(g, family) -> bool:
+    """True iff no two cycles of the family have properly overlapping
+    interiors, by comparing every pair of interior face sets."""
+    regions = [interior_faces(g, c) for c in family]
+    for i, f1 in enumerate(regions):
+        for f2 in regions[i + 1:]:
+            if not (f1.isdisjoint(f2) or f1 <= f2 or f2 <= f1):
+                return False
+    return True
+
+
 def subgraph_extract(g, k):
     """The reduction dichotomy by its definitions: reducibility is tested
     by identifying each candidate's neighbourhood, and every split
@@ -133,7 +146,7 @@ def subgraph_extract(g, k):
     if v is not None:
         return LaminarOutcome(kind="reducible", vertex=v, covered=dk)
     family = _subgraph_family(g, k)
-    if not is_laminar(g, family):
+    if not pairwise_laminar(g, family):
         raise FalsificationError("extracted family of 5-cycles is not laminar")
     missing = dk - {v for c in family for v in c}
     if missing:

@@ -126,6 +126,26 @@ def test_verify_budget_guard_attaches_partial_report():
     assert exc.value.partial_report["graph"] == "tower4"
 
 
+def test_verify_budget_covers_count_and_layer_sweeps():
+    from threecolor import count_3_colorings_detailed, tower_pentagons, transition_matrix
+    g = pentagon_tower(8)
+    pents = tower_pentagons(g, 8)
+    count_updates = count_3_colorings_detailed(g).nodes
+    sweep_updates = sum(transition_matrix(g, outer, inner).updates
+                        for inner, outer in zip(pents, pents[1:]))
+    assert (count_updates, sweep_updates) == (4683, 5313)
+    assert verify(g).budget_used == 9996
+    assert verify(g, budget=9996).budget_used == 9996
+    for budget in (4683, 9995):
+        with pytest.raises(BudgetExceededError) as exc:
+            verify(g, budget=budget)
+        assert exc.value.budget == budget
+    with pytest.raises(BudgetExceededError):
+        chain_matrix_total(g, pents, budget=sweep_updates - 1)
+    assert 6 * chain_matrix_total(g, pents, budget=sweep_updates) == \
+        count_3_colorings(g)
+
+
 def test_chain_matrix_total_is_a_lower_bound_mechanism():
     g = pentagon_tower(4)
     from threecolor import extract, dilworth_decompose

@@ -1,8 +1,11 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threecolor import (
+    ContainmentForest,
     FalsificationError,
     canonical_cycle,
     containment_forest,
@@ -10,6 +13,7 @@ from threecolor import (
     dodecahedron,
     enumerate_cycles,
     extract,
+    interior_faces,
     is_laminar,
     low_degree_set,
     pentagon_garden,
@@ -26,8 +30,9 @@ from builders import (
     nested_pairs_family,
     nested_pairs_graph,
     path_graph,
+    small_cycles,
 )
-from oracles import subgraph_extract
+from oracles import pairwise_laminar, subgraph_extract
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +175,108 @@ def test_forest_rejects_crossing_family():
         containment_forest(g, [a, b])
 
 
+def test_is_laminar_rejects_non_cycles():
+    g = pentagon_tower(2)
+    with pytest.raises(ValueError):
+        is_laminar(g, [(0, 1, 2)])
+
+
+def test_extract_rejects_crossing_family(monkeypatch):
+    from threecolor import laminar
+    g = interleaved_pentagons()
+    monkeypatch.setattr(laminar, "_covering_family",
+                        lambda g, k, fives: sorted(interleaved_cycles(g)))
+    with pytest.raises(FalsificationError, match="not laminar"):
+        extract(g, 213)
+
+
+def _brute_forest(g, family):
+    """Parent, depth and children of each cycle, and the size of a
+    maximum antichain, straight from the interior face sets."""
+    cycles = sorted({canonical_cycle(c) for c in family})
+    inside = {c: interior_faces(g, c) for c in cycles}
+    above = {c: [d for d in cycles if inside[c] < inside[d]] for c in cycles}
+    parent = {c: min(above[c], key=lambda d: len(inside[d]), default=None)
+              for c in cycles}
+    depth = {c: len(above[c]) + 1 for c in cycles}
+    children = {c: sorted(d for d in cycles if parent[d] == c) for c in cycles}
+    comparable = [sum(1 << j for j, d in enumerate(cycles)
+                      if c in above[d] or d in above[c]) for c in cycles]
+    widest = max(s.bit_count() for s in range(1 << len(cycles))
+                 if all(not (s >> i & 1) or not comparable[i] & s
+                        for i in range(len(cycles))))
+    return parent, depth, children, widest
+
+
+def _check_against_oracles(g, family):
+    laminar = pairwise_laminar(g, family)
+    assert is_laminar(g, family) == laminar
+    if not laminar:
+        with pytest.raises(ValueError):
+            containment_forest(g, family)
+        with pytest.raises(ValueError):
+            dilworth_decompose(g, family)
+        return
+    forest = containment_forest(g, family)
+    parent, depth, children, widest = _brute_forest(g, family)
+    assert forest.parent == parent
+    assert forest.depth == depth
+    assert forest.children == children
+    assert forest.roots == tuple(c for c in sorted(parent) if parent[c] is None)
+    anti = forest.max_antichain()
+    assert len(anti) == widest
+    assert all(not (interior_faces(g, c) & interior_faces(g, d))
+               for c in anti for d in anti if c != d)
+    chain, anti_family = dilworth_decompose(g, family)
+    assert len(chain) == max(depth.values())
+    assert anti_family.cycles == anti
+
+
+def test_pairs_sharing_one_face_cross():
+    for g in (pentagon_tower(3), perturbed_tower(4, seed=2, ops=2)):
+        cycles = small_cycles(g)
+        crossing = 0
+        for i, (a, fa) in enumerate(cycles):
+            assert interior_faces(g, a) == fa
+            for b, fb in cycles[i + 1:]:
+                crosses = len(fa & fb) == 1 and len(fa | fb) == 3
+                crossing += crosses
+                assert is_laminar(g, [a, b]) == (not crosses)
+                _check_against_oracles(g, [a, b])
+        assert crossing > 10
+
+
+_TOWERS = st.one_of(
+    st.integers(2, 8).map(lambda h: (pentagon_tower(h), h)),
+    st.tuples(st.integers(3, 8), st.integers(0, 10**6), st.integers(0, 4))
+    .map(lambda a: (perturbed_tower(*a), a[0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TOWERS, st.data())
+def test_forest_matches_oracles_on_drawn_families(tower, data):
+    """A drawn family of one- and two-face cycles and layer pentagons,
+    and its greedy laminar part (members crossing no earlier kept one)."""
+    g, height = tower
+    pool = sorted({c for c, _ in small_cycles(g)}
+                  | {canonical_cycle(c) for c in tower_pentagons(g, height)})
+    family = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                max_size=12, unique=True))
+    _check_against_oracles(g, family)
+    kept = []
+    for c in family:
+        if pairwise_laminar(g, kept + [c]):
+            kept.append(c)
+    _check_against_oracles(g, kept)
+
+
+def test_forest_matches_oracles_on_corpus_families(corpus):
+    for name, g in corpus:
+        out = extract(g, 213)
+        if out.kind == "family" and len(out.family) <= 12:
+            _check_against_oracles(g, out.family.cycles)
+
+
 # ---------------------------------------------------------------------------
 # Dilworth decomposition
 # ---------------------------------------------------------------------------
@@ -210,6 +317,36 @@ def test_dilworth_rejects_non_laminar():
     g = interleaved_pentagons()
     with pytest.raises(ValueError):
         dilworth_decompose(g, list(interleaved_cycles(g)))
+
+
+def test_dilworth_antichain_guard_trips_on_nested_members(monkeypatch):
+    g = pentagon_tower(5)
+    fam = tower_pentagons(g, 5)
+    monkeypatch.setattr(ContainmentForest, "max_antichain",
+                        lambda self: tuple(sorted(self.parent)))
+    with pytest.raises(FalsificationError, match="share interior"):
+        dilworth_decompose(g, fam)
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_deep_family_needs_no_recursion():
+    g = pentagon_tower(300)
+    fam = tower_pentagons(g, 300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        chain, anti = dilworth_decompose(g, fam)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert chain.cycles == tuple(canonical_cycle(c) for c in reversed(fam))
+    assert anti.cycles == (canonical_cycle(fam[0]),)
 
 
 def test_dilworth_product_guarantee_on_extracted_families(corpus):
