@@ -26,7 +26,6 @@ from .coloring import (
     BichromaticComponent,
     SpecialData,
     bichromatic_components,
-    brute_force_count,
     coloring_to_json,
     colorings_from_switching,
     count_3_colorings,
@@ -68,18 +67,13 @@ from .plane_graph import (
     annulus_subgraph,
     canonical_cycle,
     crosses,
-    delete_interior_regions,
     enumerate_cycles,
-    exterior_subgraph,
-    faces,
-    identify_neighbors,
     interior_faces,
-    interior_subgraph,
     is_triangle_free,
     load_plane_graph,
     low_degree_set,
-    map_vertices,
     plane_graph_to_json,
+    region_graph,
     region_partition,
 )
 from .transition import (

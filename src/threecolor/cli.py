@@ -3,7 +3,7 @@
 Subcommands: generate, count, analyze, transition, matrix-lemma,
 verify-bounds.  Machine reports go to stdout (JSON with --json),
 human-readable messages to stderr.  Exit codes: 0 success, 1 bound
-failure, 2 input error, 3 budget exhaustion.
+failure, 2 input error, 3 budget or memory exhaustion.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ def _load(path: str):
     except UnicodeDecodeError as exc:
         raise GraphFormatError({"error": "bad_encoding", "path": path,
                                 "detail": str(exc)})
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a RecursionError is the decoder's answer to deeply nested input
         raise GraphFormatError({"error": "bad_json", "detail": str(exc)})
 
 
@@ -281,6 +282,10 @@ def main(argv=None) -> int:
         record = exc.partial_report or {"error": "budget", "budget": exc.budget}
         print(json.dumps(record, sort_keys=True))
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print(json.dumps({"error": "memory"}))
+        print("out of memory", file=sys.stderr)
         return EXIT_BUDGET
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from itertools import product
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
@@ -459,17 +458,3 @@ def load_coloring(source, g: PlaneGraph) -> tuple:
 def coloring_to_json(g: PlaneGraph, coloring) -> dict:
     return {"colors": {g.label(v): coloring[v] for v in g.vertices}}
 
-
-def brute_force_count(g) -> int:
-    """Exhaustive 3**n scan; exponential, for cross-checks on tiny graphs."""
-    verts = list(g.vertices)
-    n = len(verts)
-    if n > 20:
-        raise ValueError("brute force scan limited to 20 vertices")
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = [(pos[v], pos[w]) for v in verts for w in g.neighbors(v) if v < w]
-    total = 0
-    for assign in product((1, 2, 3), repeat=n):
-        if all(assign[a] != assign[b] for a, b in edges):
-            total += 1
-    return total

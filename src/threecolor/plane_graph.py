@@ -13,7 +13,10 @@ once the dual edges crossing the cycle are removed.  This matches the
 open bounded region of the cycle exactly: two open interiors intersect
 iff they share a face, and one contains the other iff the face sets are
 nested.  Crossing, laminarity, chains and antichains all reduce to set
-algebra on interior face sets.
+algebra on interior face sets.  A region cut along cycles (the annulus
+between two nested cycles, or a graph with some cycle interiors
+deleted) is an :class:`AbstractGraph` on the host's vertex ids: counting
+needs only its vertices and edges, so nothing is re-embedded.
 
 After loading, vertices are dense integers 0..n-1; the original string
 identifiers are kept as labels for I/O.
@@ -70,8 +73,8 @@ def cycle_edges(cycle: Sequence[int]) -> set[frozenset]:
 class AbstractGraph:
     """A simple graph without embedding data.
 
-    The result type of vertex identification; vertex ids are a subset of
-    the host graph's ids, not necessarily dense.
+    The result type of region cuts; vertex ids are a subset of the host
+    graph's ids, not necessarily dense.
     """
 
     adj: dict
@@ -109,8 +112,7 @@ class PlaneGraph:
     """
 
     def __init__(self, labels: Sequence[str], rotation: Sequence[Sequence[int]],
-                 *, outer_walk: Sequence[int] | None = None,
-                 outer_dart: Dart | None = None):
+                 *, outer_walk: Sequence[int]):
         self.labels = tuple(str(x) for x in labels)
         self.n = len(self.labels)
         self.rotation = tuple(tuple(r) for r in rotation)
@@ -118,7 +120,7 @@ class PlaneGraph:
         self._validate_basic()
         self._trace_faces()
         self._check_euler()
-        self.outer_face = self._resolve_outer(outer_walk, outer_dart)
+        self.outer_face = self._resolve_outer(outer_walk)
         self._interior_cache: dict[Cycle, frozenset] = {}
         self._partition_cache: dict[Cycle, RegionPartition] = {}
 
@@ -173,9 +175,8 @@ class PlaneGraph:
 
     def _trace_faces(self):
         """Orbit decomposition of darts under the face-successor map."""
-        succ_index = []
-        for rot in self.rotation:
-            succ_index.append({w: rot[(i + 1) % len(rot)] for i, w in enumerate(rot)})
+        succ_index = [{w: rot[(i + 1) % len(rot)] for i, w in enumerate(rot)}
+                      for rot in self.rotation]
         face_of: dict[Dart, int] = {}
         faces: list[tuple[int, ...]] = []
         for u in range(self.n):
@@ -202,11 +203,7 @@ class PlaneGraph:
                 {"error": "euler_violation", "vertices": self.n,
                  "edges": e, "faces": f})
 
-    def _resolve_outer(self, outer_walk, outer_dart) -> int:
-        if (outer_walk is None) == (outer_dart is None):
-            raise ValueError("exactly one of outer_walk/outer_dart required")
-        if outer_dart is not None:
-            return self.face_of_dart[outer_dart]
+    def _resolve_outer(self, outer_walk) -> int:
         want = list(outer_walk)
         if self.edge_count == 0:
             if want and [self.labels[0]] != [self.labels[i] for i in want]:
@@ -233,11 +230,6 @@ class PlaneGraph:
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
 
-    @cached_property
-    def edges(self) -> frozenset:
-        return frozenset(frozenset((u, v)) for u in range(self.n)
-                         for v in self.rotation[u])
-
     @property
     def edge_count(self) -> int:
         return sum(len(r) for r in self.rotation) // 2
@@ -262,11 +254,8 @@ class PlaneGraph:
     @cached_property
     def facial_cycles(self) -> tuple[Cycle, ...]:
         """Canonical forms of the face walks that are simple cycles."""
-        out = []
-        for walk in self.faces:
-            if len(walk) >= 3 and len(set(walk)) == len(walk):
-                out.append(canonical_cycle(walk))
-        return tuple(out)
+        return tuple(canonical_cycle(walk) for walk in self.faces
+                     if len(walk) >= 3 and len(set(walk)) == len(walk))
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,15 +272,8 @@ class PlaneGraph:
 
 def _cyclic_norm(seq: list) -> tuple:
     """Least rotation over both directions; identifies cyclic sequences."""
-    if not seq:
-        return ()
-    best = None
-    for cand in (seq, seq[::-1]):
-        for i in range(len(cand)):
-            rot = tuple(cand[i:] + cand[:i])
-            if best is None or rot < best:
-                best = rot
-    return best
+    return min((tuple(c[i:] + c[:i]) for c in (seq, seq[::-1])
+                for i in range(len(c))), default=())
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +348,6 @@ def plane_graph_to_json(g: PlaneGraph) -> str:
 # ---------------------------------------------------------------------------
 # faces and regions
 # ---------------------------------------------------------------------------
-
-def faces(g: PlaneGraph) -> list[tuple[int, ...]]:
-    """All face boundary walks, as vertex tuples."""
-    return list(g.faces)
-
 
 def validate_cycle(g: PlaneGraph, seq: Sequence[int]) -> Cycle:
     """Check that ``seq`` is a cycle of ``g`` and return its canonical form."""
@@ -459,7 +436,7 @@ def crosses(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# vertex identification, degrees, cycle enumeration
+# triangles, degrees, cycle enumeration
 # ---------------------------------------------------------------------------
 
 def is_triangle_free(g) -> bool:
@@ -475,42 +452,26 @@ def is_triangle_free(g) -> bool:
     return True
 
 
-def identify_neighbors(g, v: int) -> AbstractGraph:
-    """Delete v, merge all its neighbours into one vertex, simplify.
-
-    The merged vertex reuses the smallest neighbour id.  The embedding is
-    discarded; the result is an :class:`AbstractGraph`.
-    """
-    verts = set(g.vertices)
-    if v not in verts:
-        raise ValueError(f"vertex {v} not in graph")
-    nbrs = set(g.neighbors(v))
-    if not nbrs:
-        return AbstractGraph(adj={u: frozenset(g.neighbors(u))
-                                  for u in verts if u != v})
-    merged = min(nbrs)
-    gone = nbrs | {v}
-    adj: dict[int, set] = {u: set() for u in (verts - gone) | {merged}}
-    for u in verts - gone:
-        for w in g.neighbors(u):
-            if w == v:
-                continue
-            adj[u].add(merged if w in nbrs else w)
-    for u in nbrs:
-        for w in g.neighbors(u):
-            if w in gone or w == u:
-                continue  # edges inside the merged set collapse or loop
-            adj[merged].add(w)
-            adj[w].add(merged)
-    adj[merged].discard(merged)
-    return AbstractGraph(adj={u: frozenset(s) for u, s in adj.items()})
-
-
 def low_degree_set(g, k: int) -> frozenset:
     """Vertices of degree at most k."""
     if k < 0:
         raise ValueError("k must be non-negative")
     return frozenset(v for v in g.vertices if g.degree(v) <= k)
+
+
+def identify_neighbors(g, v: int) -> AbstractGraph:
+    """Delete v, merge all its neighbours into the smallest of them, and
+    simplify; the embedding is discarded.  ``laminar`` decides
+    reducibility without it; the tests keep it as the definition."""
+    if v not in set(g.vertices):
+        raise ValueError(f"vertex {v} not in graph")
+    nbrs = frozenset(g.neighbors(v))
+    merged = min(nbrs, default=None)
+    rep = {u: merged if u in nbrs else u for u in g.vertices if u != v}
+    adj: dict = {r: set() for r in rep.values()}
+    for u, r in rep.items():
+        adj[r].update(rep[w] for w in g.neighbors(u) if w != v and rep[w] != r)
+    return AbstractGraph(adj={u: frozenset(s) for u, s in adj.items()})
 
 
 def enumerate_cycles(g: PlaneGraph, length: int) -> list[Cycle]:
@@ -557,132 +518,69 @@ def triangle_free(g: PlaneGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# subgraphs cut along cycles
+# regions cut along cycles
 # ---------------------------------------------------------------------------
 
-def _restrict(g: PlaneGraph, keep: set, drop_edge, outer_dart: Dart) -> PlaneGraph:
-    """Induced plane subgraph on ``keep`` minus edges failing ``drop_edge``.
-
-    Rotations are restrictions of the host rotations, so the embedding is
-    inherited.  ``outer_dart`` must survive and names the new outer face.
-    """
-    order = sorted(keep)
-    new_id = {v: i for i, v in enumerate(order)}
-    labels = [g.labels[v] for v in order]
-    rotation = []
-    for v in order:
-        rotation.append([new_id[w] for w in g.rotation[v]
-                         if w in keep and not drop_edge(v, w)])
-    dart = (new_id[outer_dart[0]], new_id[outer_dart[1]])
-    return PlaneGraph(labels, rotation, outer_dart=dart)
-
-
-def map_vertices(src: PlaneGraph, dst: PlaneGraph, vertices: Iterable[int]):
-    """Translate vertex ids between two graphs sharing labels."""
-    return tuple(dst.index(src.label(v)) for v in vertices)
-
-
-def annulus_subgraph(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int]) -> PlaneGraph:
-    """The part of the graph drawn between nested cycles c1 (outer) and
-    c2 (inner), both boundaries included; c1 becomes the outer face.
-
-    An edge between boundary vertices survives iff at least one of its
-    two incident faces lies in the annulus region, so chords of c2 drawn
-    inside c2 and chords of c1 drawn outside c1 are excluded.
-    """
-    k1 = validate_cycle(g, c1)
-    k2 = validate_cycle(g, c2)
-    if k1 == k2:
-        raise ValueError("annulus needs two distinct cycles")
-    f1 = interior_faces(g, k1)
-    f2 = interior_faces(g, k2)
-    if not f2 < f1:
-        raise ValueError("cycles are not nested: interior of the second "
-                         "must lie strictly inside the first")
-    inner_verts = region_partition(g, k2).interior
-    keep = (set(k1) | region_partition(g, k1).interior) - inner_verts
-
-    def drop(u, v):
-        fa = g.face_of_dart[(u, v)]
-        fb = g.face_of_dart[(v, u)]
-        if fa in f2 and fb in f2:
-            return True      # drawn strictly inside the inner cycle
-        if fa not in f1 and fb not in f1:
-            return True      # drawn strictly outside the outer cycle
-        return False
-
-    outer_dart = _boundary_dart(g, k1, f1, inside=False)
-    return _restrict(g, keep, drop, outer_dart)
-
-
-def _boundary_dart(g: PlaneGraph, cycle: Cycle, inside_faces: frozenset,
-                   *, inside: bool) -> Dart:
-    """A dart of the cycle whose face lies on the requested side."""
+def _cycle_side(g: PlaneGraph, cycle: Cycle) -> frozenset:
+    """Interior faces of a cycle, after checking that each of its edges
+    has exactly one of its two faces inside."""
+    inside = interior_faces(g, cycle)
     m = len(cycle)
     for i in range(m):
-        for dart in ((cycle[i], cycle[(i + 1) % m]),
-                     (cycle[(i + 1) % m], cycle[i])):
-            if (g.face_of_dart[dart] in inside_faces) == inside:
-                return dart
-    raise FalsificationError("cycle has no face on the requested side")
+        u, v = cycle[i], cycle[(i + 1) % m]
+        if (g.face_of_dart[(u, v)] in inside) == (g.face_of_dart[(v, u)] in inside):
+            raise FalsificationError(
+                f"cycle edge {g.label(u)}-{g.label(v)} does not separate "
+                "the cycle's interior from its exterior")
+    return inside
 
 
-def interior_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> PlaneGraph:
-    """The cycle plus everything inside it; the cycle becomes the outer face."""
-    c = validate_cycle(g, cycle)
-    ins = interior_faces(g, c)
-    keep = set(c) | region_partition(g, c).interior
+def region_graph(g: PlaneGraph, outer: Sequence[int] | None = None,
+                 holes: Iterable[Sequence[int]] = ()) -> AbstractGraph:
+    """The closed interior of ``outer`` (the whole graph when ``None``)
+    minus the open interiors of ``holes``, on the host's vertex ids.
 
-    def drop(u, v):
-        fa = g.face_of_dart[(u, v)]
-        fb = g.face_of_dart[(v, u)]
-        return fa not in ins and fb not in ins and frozenset((u, v)) not in cycle_edges(c)
-
-    return _restrict(g, keep, drop, _boundary_dart(g, c, ins, inside=False))
-
-
-def exterior_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> PlaneGraph:
-    """The cycle plus everything outside it; keeps the original outer face."""
-    c = validate_cycle(g, cycle)
-    ins = interior_faces(g, c)
-    keep = set(c) | region_partition(g, c).exterior
-
-    def drop(u, v):
-        fa = g.face_of_dart[(u, v)]
-        fb = g.face_of_dart[(v, u)]
-        return fa in ins and fb in ins
-
-    outer_walk = g.faces[g.outer_face]
-    if len(outer_walk) >= 2:
-        outer_dart = (outer_walk[0], outer_walk[1])
-    else:
-        raise ValueError("exterior of a cycle in an edgeless graph")
-    return _restrict(g, keep, drop, outer_dart)
-
-
-def delete_interior_regions(g: PlaneGraph, cycles: Iterable[Sequence[int]]) -> PlaneGraph:
-    """Delete everything strictly inside each given cycle.
-
-    The cycles must have pairwise disjoint interiors (an antichain); each
-    of them bounds a face of the result.
+    The holes must lie strictly inside ``outer`` and have pairwise
+    disjoint interiors.  An edge is dropped iff both of its faces lie
+    inside one hole, or both lie outside ``outer``; so chords drawn
+    inside a hole or outside ``outer`` go, while an edge shared by the
+    boundaries of two holes, or of a hole and ``outer``, stays.
     """
-    canon = [validate_cycle(g, c) for c in cycles]
-    inner_faces: set = set()
-    inner_verts: set = set()
-    for c in canon:
-        ins = interior_faces(g, c)
-        for d in canon:
-            if d != c and ins & interior_faces(g, d):
-                raise ValueError("cycle interiors overlap; not an antichain")
-        inner_faces |= ins
-        inner_verts |= region_partition(g, c).interior
-    keep = set(g.vertices) - inner_verts
+    keep = set(g.vertices)
+    inside = None
+    if outer is not None:
+        k = validate_cycle(g, outer)
+        inside = _cycle_side(g, k)
+        keep = set(k) | region_partition(g, k).interior
+    hole_of: dict = {}       # face inside a hole -> index of that hole
+    cut: set = set()
+    for i, h in enumerate(holes):
+        kh = validate_cycle(g, h)
+        fh = _cycle_side(g, kh)
+        if inside is not None and not fh < inside:
+            raise ValueError("hole does not lie strictly inside the outer cycle")
+        if not hole_of.keys().isdisjoint(fh):
+            raise ValueError("hole interiors overlap; not an antichain")
+        hole_of.update(dict.fromkeys(fh, i))
+        cut |= region_partition(g, kh).interior
+    keep -= cut
+    face_of = g.face_of_dart
+    adj = {}
+    for v in keep:
+        nbrs = []
+        for w in g.rotation[v]:
+            if w not in keep:
+                continue
+            fa, fb = face_of[(v, w)], face_of[(w, v)]
+            if inside is not None and fa not in inside and fb not in inside:
+                continue
+            if fa in hole_of and hole_of[fa] == hole_of.get(fb):
+                continue
+            nbrs.append(w)
+        adj[v] = frozenset(nbrs)
+    return AbstractGraph(adj=adj)
 
-    def drop(u, v):
-        return (g.face_of_dart[(u, v)] in inner_faces
-                and g.face_of_dart[(v, u)] in inner_faces)
 
-    outer_walk = g.faces[g.outer_face]
-    if len(outer_walk) < 2:
-        return g
-    return _restrict(g, keep, drop, (outer_walk[0], outer_walk[1]))
+def annulus_subgraph(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int]) -> AbstractGraph:
+    """The annulus ``transition_matrix`` counts: ``region_graph(g, c1, [c2])``."""
+    return region_graph(g, c1, [c2])

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .coloring import DEFAULT_BUDGET, pinned_counts
 from .errors import FalsificationError
-from .plane_graph import PlaneGraph, annulus_subgraph, map_vertices, validate_cycle
+from .plane_graph import PlaneGraph, annulus_subgraph, validate_cycle
 
 log = logging.getLogger(__name__)
 
@@ -211,9 +211,7 @@ def transition_matrix(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int],
     if len(k1) != 5 or len(k2) != 5:
         raise ValueError("transition matrices are defined between 5-cycles")
     ann = annulus_subgraph(g, k1, k2)
-    rows = map_vertices(g, ann, k1)
-    cols = map_vertices(g, ann, k2)
-    states, updates = pinned_counts(ann, (rows, cols), budget=budget,
+    states, updates = pinned_counts(ann, (k1, k2), budget=budget,
                                     tag=_special_position)
 
     raw = [[0] * 5 for _ in range(5)]

@@ -6,9 +6,11 @@ are backed by a second computation path.  ``pattern_transition_entries``
 is the exception: it is the per-pattern transition matrix computation
 that the pinned counting sweep replaced, kept as its reference, and
 ``subgraph_extract`` is the extraction that rebuilt a plane graph for
-every split, kept as the reference of ``laminar.extract``, and
+every split, kept as the reference of ``laminar.extract``,
 ``pairwise_laminar`` is the all-pairs crossing test that the one-pass
-containment forest replaced.
+containment forest replaced, and ``plane_region`` cuts regions along
+cycles by rebuilding each side as a plane graph with fresh ids, the
+reference of ``plane_graph.region_graph``.
 """
 
 from __future__ import annotations
@@ -18,20 +20,17 @@ from itertools import combinations, product
 from threecolor import (
     CycleFamily,
     LaminarOutcome,
-    annulus_subgraph,
+    PlaneGraph,
     canonical_cycle,
     count_with_boundary,
     enumerate_cycles,
-    exterior_subgraph,
-    identify_neighbors,
     interior_faces,
-    interior_subgraph,
     is_triangle_free,
     low_degree_set,
-    map_vertices,
     region_partition,
 )
 from threecolor.errors import FalsificationError
+from threecolor.plane_graph import cycle_edges, identify_neighbors, validate_cycle
 
 
 def scan_count_colorings(g) -> int:
@@ -105,7 +104,7 @@ def pattern_transition_entries(g, c1, c2):
     """Transition matrix entries from one boundary count per consistent
     pair of the 30 x 30 pentagon color patterns, grouped by the two
     special positions; ``c1``/``c2`` must be in canonical cycle order."""
-    ann = annulus_subgraph(g, c1, c2)
+    ann = plane_region(g, c1, [c2])
     rows = map_vertices(g, ann, c1)
     cols = map_vertices(g, ann, c2)
     shared = [(i, j) for i in range(5) for j in range(5) if rows[i] == cols[j]]
@@ -184,3 +183,88 @@ def _subgraph_family(g, k):
         for c in _subgraph_family(side, k):
             merged.add(canonical_cycle(map_vertices(side, g, c)))
     return sorted(merged)
+
+
+# ---------------------------------------------------------------------------
+# regions rebuilt as plane graphs
+# ---------------------------------------------------------------------------
+
+def map_vertices(src, dst, vertices):
+    """Translate vertex ids between two graphs sharing labels."""
+    return tuple(dst.index(src.label(v)) for v in vertices)
+
+
+def _restrict(g, keep, drop_edge, outer_dart) -> PlaneGraph:
+    """Induced plane subgraph on ``keep`` minus edges failing ``drop_edge``.
+
+    Rotations are restrictions of the host rotations, so the embedding is
+    inherited.  ``outer_dart`` must survive; the face it lies on becomes
+    the outer face.
+    """
+    order = sorted(keep)
+    new_id = {v: i for i, v in enumerate(order)}
+    rotation = [[new_id[w] for w in g.rotation[v]
+                 if w in keep and not drop_edge(v, w)] for v in order]
+    start = (new_id[outer_dart[0]], new_id[outer_dart[1]])
+    walk = []
+    a, b = start
+    while not walk or (a, b) != start:
+        walk.append(a)
+        rot = rotation[b]
+        a, b = b, rot[(rot.index(a) + 1) % len(rot)]
+    return PlaneGraph([g.labels[v] for v in order], rotation, outer_walk=walk)
+
+
+def _outside_dart(g, cycle, inside):
+    m = len(cycle)
+    for i in range(m):
+        for dart in ((cycle[i], cycle[(i + 1) % m]),
+                     (cycle[(i + 1) % m], cycle[i])):
+            if g.face_of_dart[dart] not in inside:
+                return dart
+    raise FalsificationError("cycle has no face outside it")
+
+
+def interior_subgraph(g, cycle) -> PlaneGraph:
+    """The cycle plus everything inside it; the cycle becomes the outer face."""
+    c = validate_cycle(g, cycle)
+    ins = interior_faces(g, c)
+    keep = set(c) | region_partition(g, c).interior
+
+    def drop(u, v):
+        fa = g.face_of_dart[(u, v)]
+        fb = g.face_of_dart[(v, u)]
+        return fa not in ins and fb not in ins and frozenset((u, v)) not in cycle_edges(c)
+
+    return _restrict(g, keep, drop, _outside_dart(g, c, ins))
+
+
+def exterior_subgraph(g, cycle) -> PlaneGraph:
+    """The cycle plus everything outside it; keeps the original outer face."""
+    c = validate_cycle(g, cycle)
+    ins = interior_faces(g, c)
+    keep = set(c) | region_partition(g, c).exterior
+
+    def drop(u, v):
+        return g.face_of_dart[(u, v)] in ins and g.face_of_dart[(v, u)] in ins
+
+    outer_walk = g.faces[g.outer_face]
+    return _restrict(g, keep, drop, (outer_walk[0], outer_walk[1]))
+
+
+def plane_region(g, outer=None, holes=()) -> PlaneGraph:
+    """The closed interior of ``outer`` minus the open interiors of the
+    holes, as a plane graph: the interior side of ``outer``, then the
+    exterior side of each hole in turn, each rebuilt with fresh ids.
+    The holes must lie strictly inside ``outer`` with disjoint interiors."""
+    region = g if outer is None else interior_subgraph(g, outer)
+    for hole in holes:
+        region = exterior_subgraph(region, map_vertices(g, region, hole))
+    return region
+
+
+def by_label(g, label) -> tuple[set, set]:
+    """The vertices and the edges of ``g`` named by ``label``."""
+    return ({label(v) for v in g.vertices},
+            {frozenset((label(u), label(v)))
+             for u in g.vertices for v in g.neighbors(u)})

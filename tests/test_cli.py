@@ -252,3 +252,29 @@ def test_human_output_modes(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "count", str(tower))
     assert code == 0
     assert "180" in stdout and not stdout.lstrip().startswith("{")
+
+
+def test_deeply_nested_json_exit_code(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    code, stdout, err = run_cli(capsys, "count", str(deep))
+    assert code == 2
+    assert json.loads(stdout.splitlines()[0])["error"] == "bad_json"
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_exit_code(monkeypatch, tmp_path, capsys):
+    # the sweep is made to fail; real memory is never exhausted
+    import threecolor.coloring as coloring_mod
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(coloring_mod, "pinned_counts", no_memory)
+    tower = tmp_path / "t.json"
+    run_cli(capsys, "generate", "--family", "tower", "--k", "2", "--out", str(tower))
+    for argv in (("count", str(tower)), ("verify-bounds", str(tower), "--json")):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert json.loads(stdout) == {"error": "memory"}
+        assert "memory" in err

@@ -10,28 +10,27 @@ from threecolor import (
     BudgetExceededError,
     GraphFormatError,
     bichromatic_components,
-    brute_force_count,
     coloring_to_json,
     colorings_from_switching,
     count_3_colorings,
     count_3_colorings_detailed,
     count_with_boundary,
-    delete_interior_regions,
     dodecahedron,
     enumerate_3_colorings,
     extends,
-    identify_neighbors,
     is_proper,
     load_coloring,
     pentagon_garden,
     pentagon_tower,
     perturbed_tower,
     pinned_counts,
+    region_graph,
     shared_path_pentagons,
     special_data,
     switch_component,
 )
 from threecolor.generators import garden_pentagons
+from threecolor.plane_graph import identify_neighbors
 
 from builders import chorded_pentagon, cycle_graph, path_graph, single_edge, single_vertex
 from oracles import scan_count_colorings, special_vertex_by_definition
@@ -362,21 +361,22 @@ def test_delete_interiors_empties_nested_pairs():
     g = nested_pairs_graph()
     outer_pents = [tuple(g.index(f"q{i}.{j}") for j in range(5))
                    for i in range(2)]
-    reduced = delete_interior_regions(g, outer_pents)
+    reduced = region_graph(g, None, outer_pents)
     assert reduced.n == g.n - 10          # both inner pentagons removed
-    assert all(not lab.startswith("r") for lab in reduced.labels)
-    # the emptied pentagons now bound faces
-    from threecolor import canonical_cycle, map_vertices
-    facial = set(reduced.facial_cycles)
+    assert all(not g.label(v).startswith("r") for v in reduced.vertices)
+    # the emptied pentagons keep their edges and lose every chord
     for pent in outer_pents:
-        assert canonical_cycle(map_vertices(g, reduced, pent)) in facial
+        assert all(set(reduced.neighbors(v)) & set(pent)
+                   == {pent[(i - 1) % 5], pent[(i + 1) % 5]}
+                   for i, v in enumerate(pent))
 
 
 def test_delete_interiors_rejects_overlapping():
     g = pentagon_tower(3)
     pents = [tuple(g.index(f"v{i}.{j}") for j in range(5)) for i in range(3)]
-    with pytest.raises(ValueError):
-        delete_interior_regions(g, [pents[1], pents[2]])  # nested, not disjoint
+    for holes in ([pents[1], pents[2]], [pents[0], pents[0]]):  # nested; equal
+        with pytest.raises(ValueError, match="not an antichain"):
+            region_graph(g, None, holes)
 
 
 def test_switching_pipeline_on_emptied_antichain():
@@ -384,7 +384,7 @@ def test_switching_pipeline_on_emptied_antichain():
     g = nested_pairs_graph()
     outer_pents = [tuple(g.index(f"q{i}.{j}") for j in range(5))
                    for i in range(2)]
-    reduced = delete_interior_regions(g, outer_pents)
+    reduced = region_graph(g, None, outer_pents)
     coloring = next(enumerate_3_colorings(reduced))
     got = colorings_from_switching(reduced, coloring, family_size=2)
     assert len(got) >= 2 ** (2 / 6)
@@ -404,7 +404,7 @@ def test_switching_on_garden_reaches_component_bound(corpus):
     for k in (1, 2, 3):
         g = pentagon_garden(k)
         pents = garden_pentagons(g, k)
-        reduced = delete_interior_regions(g, pents)
+        reduced = region_graph(g, None, pents)
         coloring = next(enumerate_3_colorings(reduced))
         got = colorings_from_switching(reduced, coloring, family_size=k)
         assert len(got) >= 2 ** (k / 6)
@@ -441,4 +441,4 @@ def test_coloring_file_rejects_partial_and_bad_colors():
 
 def test_brute_force_helper_agrees():
     g = path_graph(4)
-    assert brute_force_count(g) == count_3_colorings(g) == 3 * 2 ** 3
+    assert scan_count_colorings(g) == count_3_colorings(g) == 3 * 2 ** 3

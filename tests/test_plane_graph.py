@@ -1,40 +1,59 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threecolor import (
     AbstractGraph,
+    FalsificationError,
     GraphFormatError,
     annulus_subgraph,
     canonical_cycle,
+    containment_forest,
+    count_3_colorings,
     crosses,
+    dilworth_decompose,
     dodecahedron,
     enumerate_cycles,
-    faces,
-    identify_neighbors,
+    extract,
     interior_faces,
     is_laminar,
     is_triangle_free,
     load_plane_graph,
     low_degree_set,
-    map_vertices,
     pentagon_garden,
     pentagon_tower,
+    perturbed_tower,
     plane_graph_to_json,
+    region_graph,
     region_partition,
     shared_path_pentagons,
+    tower_pentagons,
 )
-from threecolor.plane_graph import PlaneGraph
+from threecolor.generators import garden_pentagons
+from threecolor.plane_graph import PlaneGraph, identify_neighbors
 
 from builders import (
     chorded_pentagon,
     cycle_graph,
     interleaved_cycles,
     interleaved_pentagons,
+    nested_pairs_family,
+    nested_pairs_graph,
     single_edge,
     single_vertex,
+    small_cycles,
 )
-from oracles import scan_cycles, scan_triangle
+from oracles import (
+    by_label,
+    exterior_subgraph,
+    interior_subgraph,
+    map_vertices,
+    plane_region,
+    scan_cycles,
+    scan_triangle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +82,7 @@ def test_dodecahedron_has_twelve_pentagonal_faces():
 @pytest.mark.parametrize("g", [cycle_graph(5), pentagon_tower(3),
                                dodecahedron(), shared_path_pentagons()])
 def test_face_lengths_double_count_edges(g):
-    assert sum(len(f) for f in faces(g)) == 2 * g.edge_count
+    assert sum(len(f) for f in g.faces) == 2 * g.edge_count
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +133,7 @@ def test_nonplanar_rotation_fails_euler_check():
     with pytest.raises(GraphFormatError) as exc:
         PlaneGraph(["a", "b", "c", "d"],
                    [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
-                   outer_dart=(0, 1))
+                   outer_walk=[0, 1])
     assert exc.value.report["error"] == "euler_violation"
 
 
@@ -328,14 +347,26 @@ def test_canonical_cycle_rotation_reflection_invariance():
 
 
 # ---------------------------------------------------------------------------
-# annulus
+# regions cut along cycles
 # ---------------------------------------------------------------------------
+
+def _labels(g, vertices):
+    return sorted(g.label(v) for v in vertices)
+
+
+def _check_region(g, outer, holes):
+    """region_graph against the cut rebuilt as a plane graph, by label."""
+    want = plane_region(g, outer, holes)
+    got = by_label(region_graph(g, outer, holes), g.label)
+    assert got == by_label(want, want.label)
+
 
 def test_annulus_whole_prism():
     g = pentagon_tower(2)
     outer = [g.index(f"v1.{j}") for j in range(5)]
     inner = [g.index(f"v0.{j}") for j in range(5)]
     ann = annulus_subgraph(g, outer, inner)
+    assert ann == region_graph(g, outer, [inner])
     assert ann.n == 10
     assert ann.edge_count == 15
 
@@ -344,13 +375,14 @@ def test_annulus_outer_two_layers_of_tower():
     g = pentagon_tower(3)
     outer = [g.index(f"v2.{j}") for j in range(5)]
     middle = [g.index(f"v1.{j}") for j in range(5)]
-    ann = annulus_subgraph(g, outer, middle)
+    ann = region_graph(g, outer, [middle])
     assert ann.n == 10
-    assert sorted(ann.labels) == sorted(
+    assert _labels(g, ann.vertices) == sorted(
         [f"v1.{j}" for j in range(5)] + [f"v2.{j}" for j in range(5)])
-    # the outer face of the annulus is the outer pentagon
-    walk = ann.faces[ann.outer_face]
-    assert {ann.label(v) for v in walk} == {f"v2.{j}" for j in range(5)}
+    # the rebuilt cut makes the outer pentagon its outer face
+    rebuilt = plane_region(g, outer, [middle])
+    walk = rebuilt.faces[rebuilt.outer_face]
+    assert {rebuilt.label(v) for v in walk} == {f"v2.{j}" for j in range(5)}
 
 
 def test_annulus_shared_path_is_whole_graph():
@@ -358,6 +390,7 @@ def test_annulus_shared_path_is_whole_graph():
     outer = [g.index(f"u{i+1}") for i in range(5)]
     inner = [g.index(x) for x in ("u1", "u2", "u3", "u4", "v")]
     ann = annulus_subgraph(g, outer, inner)
+    assert ann == region_graph(g, outer, [inner])
     assert ann.n == 6
     assert ann.edge_count == 7
 
@@ -366,8 +399,24 @@ def test_annulus_rejects_non_nested():
     g = pentagon_garden(2)
     p0 = [g.index(f"p0.{j}") for j in range(5)]
     p1 = [g.index(f"p1.{j}") for j in range(5)]
-    with pytest.raises(ValueError):
-        annulus_subgraph(g, p0, p1)
+    for outer, hole in ((p0, p1), (p0, p0)):
+        with pytest.raises(ValueError, match="strictly inside"):
+            region_graph(g, outer, [hole])
+        with pytest.raises(ValueError, match="strictly inside"):
+            annulus_subgraph(g, outer, hole)
+
+
+def test_region_graph_guards_cycle_sides(monkeypatch):
+    # a face structure putting both faces of a cycle edge inside the
+    # cycle must trip the guard, for the outer cycle and for a hole
+    import threecolor.plane_graph as pg
+    g = pentagon_tower(2)
+    pents = [tuple(g.index(f"v{i}.{j}") for j in range(5)) for i in range(2)]
+    monkeypatch.setattr(pg, "interior_faces",
+                        lambda g, c: frozenset(range(len(g.faces))))
+    for outer, holes in ((pents[1], ()), (None, [pents[0]])):
+        with pytest.raises(FalsificationError, match="does not separate"):
+            region_graph(g, outer, holes)
 
 
 def test_annulus_excludes_chord_drawn_inside_inner_cycle():
@@ -384,16 +433,16 @@ def test_annulus_excludes_chord_drawn_inside_inner_cycle():
         "outer_face": ["u1", "u2", "u3", "u4", "u5"]})
     outer = [g.index(f"u{i+1}") for i in range(5)]
     inner = [g.index(x) for x in ("u1", "u2", "u3", "u4", "v")]
-    ann = annulus_subgraph(g, outer, inner)
+    ann = region_graph(g, outer, [inner])
     assert ann.n == 6
     assert ann.edge_count == 7    # the u1-u3 chord is gone
-    assert ann.index("u3") not in ann.neighbor_set(ann.index("u1"))
+    assert g.index("u3") not in ann.neighbors(g.index("u1"))
+    _check_region(g, outer, [inner])
 
 
 def test_interior_subgraph_excludes_chord_drawn_outside():
     # pentagon with a chord drawn in the exterior region; cutting out the
     # pentagon interior must not drag the exterior chord along
-    from threecolor import interior_subgraph
     g = load_plane_graph({
         "vertices": ["u1", "u2", "u3", "u4", "u5"],
         "rotation": {"u1": ["u2", "u5"],
@@ -403,21 +452,22 @@ def test_interior_subgraph_excludes_chord_drawn_outside():
                      "u5": ["u1", "u2", "u4"]},
         "outer_face": ["u2", "u3", "u4", "u5"]})
     pent = [g.index(f"u{i+1}") for i in range(5)]
+    assert region_graph(g, pent).edge_count == 5    # bare pentagon, chord dropped
     sub = interior_subgraph(g, pent)
     assert sub.n == 5
-    assert sub.edge_count == 5    # bare pentagon, chord dropped
+    assert sub.edge_count == 5
     walk = sub.faces[sub.outer_face]
     assert len(walk) == 5
 
 
 def test_exterior_subgraph_of_tower_middle_layer():
-    from threecolor import exterior_subgraph
     g = pentagon_tower(3)
     middle = [g.index(f"v1.{j}") for j in range(5)]
+    want = sorted([f"v1.{j}" for j in range(5)] + [f"v2.{j}" for j in range(5)])
+    assert _labels(g, region_graph(g, None, [middle]).vertices) == want
     sub = exterior_subgraph(g, middle)
     assert sub.n == 10
-    assert sorted(sub.labels) == sorted(
-        [f"v1.{j}" for j in range(5)] + [f"v2.{j}" for j in range(5)])
+    assert sorted(sub.labels) == want
     # original outer face survives
     walk = sub.faces[sub.outer_face]
     assert {sub.label(v) for v in walk} == {f"v2.{j}" for j in range(5)}
@@ -427,10 +477,72 @@ def test_map_vertices_round_trip():
     g = pentagon_tower(3)
     outer = tuple(g.index(f"v2.{j}") for j in range(5))
     inner = tuple(g.index(f"v0.{j}") for j in range(5))
-    ann = annulus_subgraph(g, outer, inner)
+    ann = plane_region(g, outer, [inner])
     there = map_vertices(g, ann, outer)
     back = map_vertices(ann, g, there)
     assert back == outer
+
+
+def test_region_graph_keeps_edge_shared_by_two_holes():
+    # two adjacent faces of the dodecahedron have disjoint interiors;
+    # deleting them must keep the edge 0-1 they share
+    g = dodecahedron()
+    holes = [(0, 1, 18, 17, 16), (0, 1, 2, 5, 4)]
+    assert all(canonical_cycle(h) in g.facial_cycles for h in holes)
+    region = region_graph(g, None, holes)
+    assert region.n == 20
+    assert region.edge_count == 30
+    assert count_3_colorings(region) == count_3_colorings(g) == 7200
+    _check_region(g, None, holes)
+
+
+_TOWERS = st.one_of(
+    st.integers(2, 8).map(lambda h: (pentagon_tower(h), h)),
+    st.tuples(st.integers(3, 8), st.integers(0, 10**6), st.integers(0, 4))
+    .map(lambda a: (perturbed_tower(*a), a[0])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TOWERS, st.data())
+def test_region_graph_matches_rebuilt_cut(tower, data):
+    """Holes drawn among one- and two-face cycles and layer pentagons
+    (each kept if its interior misses the earlier ones), and an outer
+    cycle drawn among those strictly containing every hole, or none."""
+    g, height = tower
+    pool = sorted({c for c, _ in small_cycles(g)}
+                  | {canonical_cycle(c) for c in tower_pentagons(g, height)})
+    holes, covered = [], set()
+    for c in data.draw(st.lists(st.sampled_from(pool), max_size=6, unique=True)):
+        if covered.isdisjoint(interior_faces(g, c)):
+            holes.append(c)
+            covered |= interior_faces(g, c)
+    outers = [c for c in pool
+              if all(interior_faces(g, h) < interior_faces(g, c) for h in holes)]
+    outer = data.draw(st.sampled_from([None] + outers))
+    _check_region(g, outer, holes)
+
+
+def test_region_graph_matches_rebuilt_cut_on_corpus_families(corpus):
+    """The antichain of each extracted family, and each member's closed
+    interior minus its children's interiors."""
+    checked = 0
+    for name, g in corpus:
+        out = extract(g, 213)
+        if out.kind != "family":
+            continue
+        _, anti = dilworth_decompose(g, out.family)
+        _check_region(g, None, anti.cycles)
+        forest = containment_forest(g, out.family)
+        _check_region(g, None, forest.roots)
+        for c, kids in forest.children.items():
+            _check_region(g, c, kids)
+        checked += 1
+    for k in (1, 2, 3):
+        g = pentagon_garden(k)
+        _check_region(g, None, garden_pentagons(g, k))
+    g = nested_pairs_graph()
+    _check_region(g, None, nested_pairs_family(g)[:2])
+    assert checked >= 8
 
 
 # ---------------------------------------------------------------------------
