@@ -43,22 +43,6 @@ def _emit(data: dict, as_json: bool, human: str | None = None):
         print(human if human is not None else json.dumps(data, sort_keys=True))
 
 
-def _load(path: str):
-    try:
-        return load_plane_graph(path)
-    except FileNotFoundError:
-        raise GraphFormatError({"error": "no_such_file", "path": path})
-    except OSError as exc:
-        raise GraphFormatError({"error": "unreadable_file", "path": path,
-                                "detail": str(exc)})
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError({"error": "bad_encoding", "path": path,
-                                "detail": str(exc)})
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # a RecursionError is the decoder's answer to deeply nested input
-        raise GraphFormatError({"error": "bad_json", "detail": str(exc)})
-
-
 def _at_least_one(value: int, flag: str):
     if value < 1:
         raise GraphFormatError({"error": "bad_argument",
@@ -91,7 +75,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_count(args) -> int:
     _at_least_one(args.budget, "--budget")
-    g = _load(args.graph)
+    g = load_plane_graph(args.graph)
     res = count_3_colorings_detailed(g, budget=args.budget)
     record = {"graph": args.graph, "count": res.count, "budget_used": res.nodes}
     _emit(record, args.json,
@@ -101,7 +85,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    g = _load(args.graph)
+    g = load_plane_graph(args.graph)
     try:
         outcome = extract(g, args.k)
     except ValueError as exc:
@@ -137,7 +121,7 @@ def _parse_cycle(g, text: str):
 
 def _cmd_transition(args) -> int:
     _at_least_one(args.budget, "--budget")
-    g = _load(args.graph)
+    g = load_plane_graph(args.graph)
     c1 = _parse_cycle(g, args.outer)
     c2 = _parse_cycle(g, args.inner)
     try:
@@ -182,7 +166,7 @@ def _cmd_verify_bounds(args) -> int:
     _at_least_one(args.budget, "--budget")
     failures = 0
     for path in args.graphs:
-        g = _load(path)
+        g = load_plane_graph(path)
         try:
             report = verify_with_budget_guard(
                 g, k=args.k, budget=args.budget, graph_name=path)

@@ -20,15 +20,14 @@ A coloring is represented as a tuple indexed by vertex id.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
+from itertools import product
 from operator import itemgetter
-from pathlib import Path
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, GraphFormatError
-from .plane_graph import PlaneGraph, canonical_cycle
+from .plane_graph import PlaneGraph, _read_json, canonical_cycle
 
 log = logging.getLogger(__name__)
 
@@ -88,15 +87,15 @@ class _Step(NamedTuple):
 
 
 def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
-          tag: Callable | None) -> tuple[list, Callable | None]:
+          tag: Callable) -> tuple[list, Callable | None]:
     """Plan every vertex step of the sweep, plus the final reordering of
     the group slots into group order (``None`` when already in order).
 
     A frontier slot is ``("v", u)`` for a placed vertex that is still
     needed, or ``("t", i)`` for group ``i`` once all its members are
-    placed; it holds the group's tag, or without ``tag`` the color of
-    its single member.  New group slots go in front, so a step at which
-    no vertex leaves and no group completes keeps the grown state as is.
+    placed; it holds the group's tag.  New group slots go in front, so a
+    step at which no vertex leaves and no group completes keeps the
+    grown state as is.
     """
     pos = {v: p for p, v in enumerate(order)}
     last = {v: max((pos[w] for w in g.neighbors(v)), default=-1) for v in order}
@@ -133,17 +132,14 @@ def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
     return steps, (None if final == list(range(len(layout))) else _picker(final))
 
 
-def _group_slots(grown: list, done: list, tag: Callable | None,
+def _group_slots(grown: list, done: list, tag: Callable,
                  proj: Callable | None) -> Callable:
     """The key function of a step at which the groups ``done`` complete:
     their new slots in front of the projected grown state."""
-    if tag is None:
-        extra = _picker([grown.index(("v", grp[0])) for grp in done])
-    else:
-        picks = [_picker([grown.index(("v", u)) for u in grp]) for grp in done]
+    picks = [_picker([grown.index(("v", u)) for u in grp]) for grp in done]
 
-        def extra(full):
-            return tuple([tag(pick(full)) for pick in picks])
+    def extra(full):
+        return tuple([tag(pick(full)) for pick in picks])
     if proj is None:
         return lambda full: extra(full) + full
     return lambda full: extra(full) + proj(full)
@@ -177,7 +173,10 @@ def pinned_counts(g, pinned: Sequence = (),
             raise ValueError(f"vertex {v} not in graph")
         if c not in (1, 2, 3):
             raise ValueError(f"color must be 1, 2 or 3, got {c}")
-    groups = [(v,) for v in pinned] if tag is None else [tuple(p) for p in pinned]
+    if tag is None:     # an untagged pin is a one-vertex group tagged by its color
+        groups, tag = [(v,) for v in pinned], itemgetter(0)
+    else:
+        groups = [tuple(p) for p in pinned]
     for grp in groups:
         if not grp:
             raise ValueError("pinned groups must not be empty")
@@ -291,19 +290,21 @@ class SpecialData:
     edge: tuple
 
 
+SPECIAL_POSITION = {p: next(i for i in range(5) if p.count(p[i]) == 1)
+                    for p in product((1, 2, 3), repeat=5)
+                    if all(p[i - 1] != p[i] for i in range(5))}
+"""The position of the color used once, for each of the 30 proper
+colorings of a 5-cycle."""
+
+
 def special_data(cycle: Sequence[int], coloring) -> SpecialData:
     """Locate the special vertex and edge of a properly colored 5-cycle."""
     if len(cycle) != 5:
         raise ValueError(f"special vertex is defined for 5-cycles, got "
                          f"length {len(cycle)}")
-    cols = [coloring[v] for v in cycle]
-    for i in range(5):
-        if cols[i] == cols[(i + 1) % 5]:
-            raise ValueError("coloring is not proper on the cycle")
-    singles = [i for i in range(5) if cols.count(cols[i]) == 1]
-    if len(singles) != 1:
-        raise ValueError("coloring has no unique singleton color on the cycle")
-    s = singles[0]
+    s = SPECIAL_POSITION.get(tuple(coloring[v] for v in cycle))
+    if s is None:
+        raise ValueError("coloring is not a proper 3-coloring of the cycle")
     a, b = cycle[(s + 2) % 5], cycle[(s + 3) % 5]
     return SpecialData(vertex=cycle[s], edge=(min(a, b), max(a, b)))
 
@@ -420,14 +421,7 @@ def colorings_from_switching(g, coloring, family_size: int | None = None) -> set
 
 def load_coloring(source, g: PlaneGraph) -> tuple:
     """Read ``{"colors": {"a": 1, ...}}`` and validate it against ``g``."""
-    if isinstance(source, (str, Path)) and not (
-            isinstance(source, str) and source.lstrip().startswith("{")):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = source
+    data = _read_json(source)
     if not isinstance(data, dict) or "colors" not in data:
         raise GraphFormatError({"error": "bad_schema", "detail": "missing 'colors'"})
     colors = data["colors"]

@@ -59,12 +59,6 @@ def canonical_cycle(seq: Sequence[int]) -> Cycle:
     return tuple(fwd) if fwd[1] <= rev[1] else tuple(rev)
 
 
-def cycle_edges(cycle: Sequence[int]) -> set[frozenset]:
-    """Undirected edge set of a cyclic vertex sequence."""
-    n = len(cycle)
-    return {frozenset((cycle[i], cycle[(i + 1) % n])) for i in range(n)}
-
-
 # ---------------------------------------------------------------------------
 # graphs
 # ---------------------------------------------------------------------------
@@ -121,8 +115,7 @@ class PlaneGraph:
         self._trace_faces()
         self._check_euler()
         self.outer_face = self._resolve_outer(outer_walk)
-        self._interior_cache: dict[Cycle, frozenset] = {}
-        self._partition_cache: dict[Cycle, RegionPartition] = {}
+        self._regions: dict[Cycle, RegionPartition] = {}
 
     # -- construction-time checks -----------------------------------------
 
@@ -170,8 +163,6 @@ class PlaneGraph:
                         stack.append(w)
             if len(seen) != self.n:
                 raise GraphFormatError({"error": "disconnected"})
-        elif self.n == 1 and self.rotation[0]:
-            raise GraphFormatError({"error": "self_loop", "vertex": self.labels[0]})
 
     def _trace_faces(self):
         """Orbit decomposition of darts under the face-successor map."""
@@ -241,17 +232,6 @@ class PlaneGraph:
         return self._index[str(label)]
 
     @cached_property
-    def vertex_faces(self) -> tuple[frozenset, ...]:
-        """For each vertex, the set of incident face indices."""
-        inc = [set() for _ in range(self.n)]
-        for idx, walk in enumerate(self.faces):
-            for v in walk:
-                inc[v].add(idx)
-        if self.n == 1:
-            inc[0].add(0)
-        return tuple(frozenset(s) for s in inc)
-
-    @cached_property
     def facial_cycles(self) -> tuple[Cycle, ...]:
         """Canonical forms of the face walks that are simple cycles."""
         return tuple(canonical_cycle(walk) for walk in self.faces
@@ -280,6 +260,34 @@ def _cyclic_norm(seq: list) -> tuple:
 # loading / saving
 # ---------------------------------------------------------------------------
 
+def _read_json(source):
+    """The data behind a loader's ``source``: a file path, a JSON text
+    starting with ``{``, or the data itself.  A missing, unreadable,
+    non-UTF-8 or malformed source raises :class:`GraphFormatError`."""
+    if isinstance(source, Path) or (
+            isinstance(source, str) and not source.lstrip().startswith("{")):
+        path = str(source)
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            raise GraphFormatError({"error": "no_such_file", "path": path}) from None
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError({"error": "bad_encoding", "path": path,
+                                    "detail": str(exc)}) from None
+        except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
+            raise GraphFormatError({"error": "unreadable_file", "path": path,
+                                    "detail": str(exc)}) from None
+    elif isinstance(source, str):
+        text = source
+    else:
+        return source
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:   # too long a number, too deep
+        raise GraphFormatError({"error": "bad_json", "detail": str(exc)}) from None
+
+
 def load_plane_graph(source) -> PlaneGraph:
     """Load a plane graph from a dict, a JSON string, or a file path.
 
@@ -289,14 +297,7 @@ def load_plane_graph(source) -> PlaneGraph:
          "rotation": {"a": ["b", "e", ...], ...},
          "outer_face": ["a", "b", ...]}
     """
-    if isinstance(source, (str, Path)) and not (
-            isinstance(source, str) and source.lstrip().startswith("{")):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = source
+    data = _read_json(source)
     if not isinstance(data, dict):
         raise GraphFormatError({"error": "bad_schema", "detail": "not an object"})
     for key in ("vertices", "rotation", "outer_face"):
@@ -361,67 +362,73 @@ def validate_cycle(g: PlaneGraph, seq: Sequence[int]) -> Cycle:
 
 
 def interior_faces(g: PlaneGraph, cycle: Sequence[int]) -> frozenset:
-    """Faces inside the cycle: unreachable from the outer face in the
-    dual once the dual edges crossing the cycle are removed."""
-    c = validate_cycle(g, cycle)
-    cached = g._interior_cache.get(c)
-    if cached is not None:
-        return cached
-    blocked = cycle_edges(c)
-    reached = {g.outer_face}
-    stack = [g.outer_face]
-    while stack:
-        f = stack.pop()
-        walk = g.faces[f]
-        m = len(walk)
-        for i in range(m):
-            u, v = walk[i], walk[(i + 1) % m]
-            if frozenset((u, v)) in blocked:
-                continue
-            other = g.face_of_dart[(v, u)]
-            if other not in reached:
-                reached.add(other)
-                stack.append(other)
-    interior = frozenset(range(len(g.faces))) - reached
-    if not interior:
-        raise FalsificationError(
-            "cycle has no interior face; face structure is inconsistent")
-    g._interior_cache[c] = interior
-    return interior
+    """Faces inside the cycle: ``region_partition(g, cycle).faces``."""
+    return region_partition(g, cycle).faces
 
 
 @dataclass(frozen=True)
 class RegionPartition:
-    """The three-way vertex split induced by a cycle."""
+    """The three-way vertex split induced by a cycle, plus the faces
+    inside it."""
 
     interior: frozenset
     exterior: frozenset
     boundary: frozenset
+    faces: frozenset
 
 
 def region_partition(g: PlaneGraph, cycle: Sequence[int]) -> RegionPartition:
-    """Split the vertex set into interior / exterior / boundary of a cycle.
+    """Split the graph by a cycle: its interior faces and the interior,
+    exterior and boundary vertices.
 
-    Memoized per graph and cycle, once the cross-cycle edge check passed.
+    One dual search from the outer face, never crossing a cycle edge,
+    reaches the exterior faces; the rest are inside.  The vertices on
+    exterior faces, less the cycle, are the exterior, and the remaining
+    non-cycle vertices the interior.  Guards, once per cycle: some face
+    is inside, each cycle edge has exactly one of its two faces inside,
+    and no edge joins the interior to the exterior.  Memoized per graph
+    and cycle once the guards passed.
     """
     c = validate_cycle(g, cycle)
-    cached = g._partition_cache.get(c)
-    if cached is not None:
-        return cached
-    inside = interior_faces(g, c)
+    parts = g._regions.get(c)
+    if parts is not None:
+        return parts
+    edges = list(zip(c, c[1:] + c[:1]))
+    blocked = set(edges) | {(v, u) for u, v in edges}
+    face_of = g.face_of_dart
+    reached = {g.outer_face}
+    stack = [g.outer_face]
+    outside = set()
+    while stack:
+        walk = g.faces[stack.pop()]
+        outside.update(walk)
+        for dart in zip(walk[1:] + walk[:1], walk):   # reversed face darts
+            if dart in blocked:
+                continue
+            other = face_of[dart]
+            if other not in reached:
+                reached.add(other)
+                stack.append(other)
+    faces = frozenset(range(len(g.faces))) - reached
+    if not faces:
+        raise FalsificationError(
+            "cycle has no interior face; face structure is inconsistent")
+    for u, v in edges:
+        if (face_of[(u, v)] in faces) == (face_of[(v, u)] in faces):
+            raise FalsificationError(
+                f"cycle edge {g.label(u)}-{g.label(v)} does not separate "
+                "the cycle's interior from its exterior")
     boundary = frozenset(c)
-    interior = frozenset(
-        v for v in g.vertices
-        if v not in boundary and g.vertex_faces[v] & inside)
-    exterior = frozenset(g.vertices) - boundary - interior
+    exterior = frozenset(outside) - boundary
+    interior = frozenset(g.vertices) - boundary - exterior
     for v in interior:
         bad = g.neighbor_set(v) & exterior
         if bad:
             raise FalsificationError(
                 f"edge joins interior to exterior across cycle: "
                 f"{g.label(v)}-{g.label(next(iter(bad)))}")
-    parts = RegionPartition(interior=interior, exterior=exterior, boundary=boundary)
-    g._partition_cache[c] = parts
+    parts = g._regions[c] = RegionPartition(
+        interior=interior, exterior=exterior, boundary=boundary, faces=faces)
     return parts
 
 
@@ -521,20 +528,6 @@ def triangle_free(g: PlaneGraph) -> bool:
 # regions cut along cycles
 # ---------------------------------------------------------------------------
 
-def _cycle_side(g: PlaneGraph, cycle: Cycle) -> frozenset:
-    """Interior faces of a cycle, after checking that each of its edges
-    has exactly one of its two faces inside."""
-    inside = interior_faces(g, cycle)
-    m = len(cycle)
-    for i in range(m):
-        u, v = cycle[i], cycle[(i + 1) % m]
-        if (g.face_of_dart[(u, v)] in inside) == (g.face_of_dart[(v, u)] in inside):
-            raise FalsificationError(
-                f"cycle edge {g.label(u)}-{g.label(v)} does not separate "
-                "the cycle's interior from its exterior")
-    return inside
-
-
 def region_graph(g: PlaneGraph, outer: Sequence[int] | None = None,
                  holes: Iterable[Sequence[int]] = ()) -> AbstractGraph:
     """The closed interior of ``outer`` (the whole graph when ``None``)
@@ -549,20 +542,19 @@ def region_graph(g: PlaneGraph, outer: Sequence[int] | None = None,
     keep = set(g.vertices)
     inside = None
     if outer is not None:
-        k = validate_cycle(g, outer)
-        inside = _cycle_side(g, k)
-        keep = set(k) | region_partition(g, k).interior
+        parts = region_partition(g, outer)
+        inside = parts.faces
+        keep = parts.boundary | parts.interior
     hole_of: dict = {}       # face inside a hole -> index of that hole
     cut: set = set()
     for i, h in enumerate(holes):
-        kh = validate_cycle(g, h)
-        fh = _cycle_side(g, kh)
-        if inside is not None and not fh < inside:
+        parts = region_partition(g, h)
+        if inside is not None and not parts.faces < inside:
             raise ValueError("hole does not lie strictly inside the outer cycle")
-        if not hole_of.keys().isdisjoint(fh):
+        if not hole_of.keys().isdisjoint(parts.faces):
             raise ValueError("hole interiors overlap; not an antichain")
-        hole_of.update(dict.fromkeys(fh, i))
-        cut |= region_partition(g, kh).interior
+        hole_of.update(dict.fromkeys(parts.faces, i))
+        cut |= parts.interior
     keep -= cut
     face_of = g.face_of_dart
     adj = {}

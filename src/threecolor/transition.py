@@ -22,7 +22,7 @@ from functools import cache
 from itertools import chain, combinations, permutations, product
 from typing import Sequence
 
-from .coloring import DEFAULT_BUDGET, pinned_counts
+from .coloring import DEFAULT_BUDGET, SPECIAL_POSITION, pinned_counts
 from .errors import FalsificationError
 from .plane_graph import PlaneGraph, annulus_subgraph, validate_cycle
 
@@ -175,21 +175,11 @@ def apply_row(x: Sequence[int], m) -> tuple:
 # transition matrices from graphs
 # ---------------------------------------------------------------------------
 
-def _special_index(colors: Sequence[int]) -> int:
-    """Position of the color used once on a properly colored 5-cycle."""
-    return next(i for i in range(5) if colors.count(colors[i]) == 1)
-
-
-_SPECIAL = {p: _special_index(p) for p in product((1, 2, 3), repeat=5)
-            if all(p[i] != p[(i + 1) % 5] for i in range(5))}
-"""The special position of each of the 30 proper 5-cycle colorings."""
-
-
 def _special_position(colors: tuple) -> int:
     """The tag that folds a pinned pentagon's colors into its special
     position during the sweep."""
     try:
-        return _SPECIAL[colors]
+        return SPECIAL_POSITION[colors]
     except KeyError:
         raise FalsificationError(
             f"pentagon colored {colors} in a proper coloring of the "

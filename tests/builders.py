@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+from hypothesis import strategies as st
+
 from threecolor import (
     PlaneGraph,
     canonical_cycle,
@@ -153,3 +155,37 @@ def annulus_instances():
             yield f"perturbed{k}s{seed}[{i},{i+1}]", g, pents[i + 1], pents[i]
         for i in range(k - 2):
             yield f"perturbed{k}s{seed}[{i},{i+2}]", g, pents[i + 2], pents[i]
+
+
+# ---------------------------------------------------------------------------
+# loader inputs
+# ---------------------------------------------------------------------------
+
+_LABELS = st.sampled_from("abcde")
+
+NAMES = st.text(st.characters(blacklist_characters="/"), max_size=6)
+"""Strings without "/": as paths they stay in the working directory."""
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | NAMES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+_PENTAGON = {"a": ["b", "e"], "b": ["c", "a"], "c": ["d", "b"],
+             "d": ["e", "c"], "e": ["a", "d"]}
+
+GRAPH_SHAPED = st.one_of(
+    st.fixed_dictionaries({
+        "vertices": st.lists(_LABELS | st.integers(0, 4), max_size=6),
+        "rotation": st.dictionaries(_LABELS, st.lists(_LABELS, max_size=4),
+                                    max_size=6) | JSON_VALUES,
+        "outer_face": st.lists(_LABELS, max_size=6) | JSON_VALUES}),
+    st.fixed_dictionaries({
+        "vertices": st.just(list("abcde")),
+        "rotation": st.fixed_dictionaries(
+            {v: st.just(r) | st.lists(_LABELS, max_size=3)
+             for v, r in _PENTAGON.items()}),
+        "outer_face": st.permutations("abcde")}))
+"""Dicts with the loader's three keys: arbitrary small ones, and a
+pentagon with some rotations and the outer walk redrawn."""

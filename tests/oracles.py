@@ -10,7 +10,9 @@ every split, kept as the reference of ``laminar.extract``,
 ``pairwise_laminar`` is the all-pairs crossing test that the one-pass
 containment forest replaced, and ``plane_region`` cuts regions along
 cycles by rebuilding each side as a plane graph with fresh ids, the
-reference of ``plane_graph.region_graph``.
+reference of ``plane_graph.region_graph``.  ``dual_search_faces`` and
+``rescan_partition`` are the interior search and the per-vertex face
+rescan that the one search of ``plane_graph.region_partition`` replaced.
 """
 
 from __future__ import annotations
@@ -30,7 +32,13 @@ from threecolor import (
     region_partition,
 )
 from threecolor.errors import FalsificationError
-from threecolor.plane_graph import cycle_edges, identify_neighbors, validate_cycle
+from threecolor.plane_graph import identify_neighbors, validate_cycle
+
+
+def cycle_edges(cycle) -> set[frozenset]:
+    """Undirected edge set of a cyclic vertex sequence."""
+    n = len(cycle)
+    return {frozenset((cycle[i], cycle[(i + 1) % n])) for i in range(n)}
 
 
 def scan_count_colorings(g) -> int:
@@ -268,3 +276,40 @@ def by_label(g, label) -> tuple[set, set]:
     return ({label(v) for v in g.vertices},
             {frozenset((label(u), label(v)))
              for u in g.vertices for v in g.neighbors(u)})
+
+
+# ---------------------------------------------------------------------------
+# cycle interiors by their definitions
+# ---------------------------------------------------------------------------
+
+def dual_search_faces(g, cycle) -> frozenset:
+    """Faces unreachable from the outer face in the dual once the dual
+    edges crossing the cycle are removed."""
+    blocked = cycle_edges(validate_cycle(g, cycle))
+    reached = {g.outer_face}
+    stack = [g.outer_face]
+    while stack:
+        walk = g.faces[stack.pop()]
+        for i in range(len(walk)):
+            u, v = walk[i], walk[(i + 1) % len(walk)]
+            if frozenset((u, v)) in blocked:
+                continue
+            other = g.face_of_dart[(v, u)]
+            if other not in reached:
+                reached.add(other)
+                stack.append(other)
+    return frozenset(range(len(g.faces))) - reached
+
+
+def rescan_partition(g, cycle) -> tuple[frozenset, frozenset, frozenset]:
+    """(interior, exterior, boundary): a non-cycle vertex is inside iff
+    one of its faces is inside the cycle."""
+    inside = dual_search_faces(g, cycle)
+    incident = [set() for _ in g.vertices]
+    for idx, walk in enumerate(g.faces):
+        for v in walk:
+            incident[v].add(idx)
+    boundary = frozenset(cycle)
+    interior = frozenset(v for v in g.vertices
+                         if v not in boundary and incident[v] & inside)
+    return interior, frozenset(g.vertices) - boundary - interior, boundary

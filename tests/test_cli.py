@@ -1,9 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threecolor import load_plane_graph, count_3_colorings
 from threecolor.cli import main
+
+from builders import GRAPH_SHAPED
 
 
 def run_cli(capsys, *argv):
@@ -255,12 +259,14 @@ def test_human_output_modes(tmp_path, capsys):
 
 
 def test_deeply_nested_json_exit_code(tmp_path, capsys):
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 200000)
-    code, stdout, err = run_cli(capsys, "count", str(deep))
-    assert code == 2
-    assert json.loads(stdout.splitlines()[0])["error"] == "bad_json"
-    assert "Traceback" not in err
+    # the second file overruns the decoder's int-string length limit
+    for name, text in (("deep.json", "[" * 200000), ("long.json", "1" * 5000)):
+        path = tmp_path / name
+        path.write_text(text)
+        code, stdout, err = run_cli(capsys, "count", str(path))
+        assert code == 2, name
+        assert json.loads(stdout.splitlines()[0])["error"] == "bad_json"
+        assert "Traceback" not in err
 
 
 def test_out_of_memory_exit_code(monkeypatch, tmp_path, capsys):
@@ -278,3 +284,12 @@ def test_out_of_memory_exit_code(monkeypatch, tmp_path, capsys):
         assert code == 3, argv
         assert json.loads(stdout) == {"error": "memory"}
         assert "memory" in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.binary(max_size=300),
+                 GRAPH_SHAPED.map(lambda d: json.dumps(d).encode())))
+def test_fuzzed_file_bytes_exit_cleanly(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_bytes(payload)
+    assert main(["count", str(path), "--budget", "1000"]) in (0, 2, 3)

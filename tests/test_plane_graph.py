@@ -20,6 +20,7 @@ from threecolor import (
     interior_faces,
     is_laminar,
     is_triangle_free,
+    load_coloring,
     load_plane_graph,
     low_degree_set,
     pentagon_garden,
@@ -35,6 +36,9 @@ from threecolor.generators import garden_pentagons
 from threecolor.plane_graph import PlaneGraph, identify_neighbors
 
 from builders import (
+    GRAPH_SHAPED,
+    JSON_VALUES,
+    NAMES,
     chorded_pentagon,
     cycle_graph,
     interleaved_cycles,
@@ -47,10 +51,12 @@ from builders import (
 )
 from oracles import (
     by_label,
+    dual_search_faces,
     exterior_subgraph,
     interior_subgraph,
     map_vertices,
     plane_region,
+    rescan_partition,
     scan_cycles,
     scan_triangle,
 )
@@ -162,6 +168,29 @@ def test_loader_rejects_wrongly_typed_fields(patch):
     assert exc.value.report["error"] == "bad_schema"
 
 
+def test_loaders_map_malformed_json_to_bad_json(tmp_path):
+    # deep nesting overruns the decoder's recursion limit, a long number
+    # its int-string length limit
+    g = cycle_graph(5)
+    for name, text in (("deep.json", "[" * 200000), ("long.json", "1" * 5000)):
+        path = tmp_path / name
+        path.write_text(text)
+        for load in (load_plane_graph, lambda p: load_coloring(p, g)):
+            with pytest.raises(GraphFormatError) as exc:
+                load(str(path))
+            assert exc.value.report["error"] == "bad_json", name
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(NAMES, JSON_VALUES, GRAPH_SHAPED,
+                 st.builds(json.dumps, GRAPH_SHAPED)))
+def test_loader_raises_only_graph_format_errors(data):
+    try:
+        load_plane_graph(data)
+    except GraphFormatError:
+        pass
+
+
 def test_serialization_is_deterministic():
     a = plane_graph_to_json(pentagon_garden(2))
     b = plane_graph_to_json(pentagon_garden(2))
@@ -215,6 +244,38 @@ def test_region_partition_rejects_non_cycles():
     g = cycle_graph(5)
     with pytest.raises(ValueError):
         region_partition(g, [0, 2, 4])
+
+
+_TOWERS = st.one_of(
+    st.integers(2, 8).map(lambda h: (pentagon_tower(h), h)),
+    st.tuples(st.integers(3, 8), st.integers(0, 10**6), st.integers(0, 4))
+    .map(lambda a: (perturbed_tower(*a), a[0])))
+
+
+def _check_partition(g):
+    """Every 5-cycle, facial cycle and one- or two-face cycle of ``g``
+    against the dual search and the vertex rescan."""
+    small = small_cycles(g)
+    for c in {*enumerate_cycles(g, 5), *g.facial_cycles, *(c for c, _ in small)}:
+        parts = region_partition(g, c)
+        assert parts.faces == dual_search_faces(g, c) == interior_faces(g, c)
+        assert (parts.interior, parts.exterior, parts.boundary) == \
+            rescan_partition(g, c)
+    for c, faces in small:
+        assert region_partition(g, c).faces == faces
+    return len(small)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TOWERS)
+def test_region_partition_matches_dual_search_and_rescan(tower):
+    g, _ = tower
+    assert _check_partition(g) > 0
+
+
+def test_region_partition_matches_dual_search_and_rescan_on_corpus(corpus):
+    for _, g in corpus:
+        _check_partition(g)
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +467,34 @@ def test_annulus_rejects_non_nested():
             annulus_subgraph(g, outer, hole)
 
 
-def test_region_graph_guards_cycle_sides(monkeypatch):
-    # a face structure putting both faces of a cycle edge inside the
-    # cycle must trip the guard, for the outer cycle and for a hole
-    import threecolor.plane_graph as pg
+def _tower_with_unseparating_edge(monkeypatch, layer):
+    """Tower 2 and its pentagons, with both darts of one edge of the
+    given layer's pentagon naming the same face."""
     g = pentagon_tower(2)
     pents = [tuple(g.index(f"v{i}.{j}") for j in range(5)) for i in range(2)]
-    monkeypatch.setattr(pg, "interior_faces",
-                        lambda g, c: frozenset(range(len(g.faces))))
-    for outer, holes in ((pents[1], ()), (None, [pents[0]])):
+    u, v = pents[layer][:2]
+    monkeypatch.setitem(g.face_of_dart, (v, u), g.face_of_dart[(u, v)])
+    return g, pents
+
+
+def test_region_graph_guards_cycle_sides(monkeypatch):
+    # a face structure putting both faces of a cycle edge on one side of
+    # the cycle must trip the guard, for the outer cycle and for a hole
+    g, pents = _tower_with_unseparating_edge(monkeypatch, 1)
+    with pytest.raises(FalsificationError, match="does not separate"):
+        region_graph(g, pents[1])
+    g, pents = _tower_with_unseparating_edge(monkeypatch, 0)
+    with pytest.raises(FalsificationError, match="does not separate"):
+        region_graph(g, None, [pents[0]])
+
+
+def test_interiors_and_forest_guard_cycle_sides(monkeypatch):
+    for layer in (0, 1):
+        g, pents = _tower_with_unseparating_edge(monkeypatch, layer)
         with pytest.raises(FalsificationError, match="does not separate"):
-            region_graph(g, outer, holes)
+            interior_faces(g, pents[layer])
+        with pytest.raises(FalsificationError, match="does not separate"):
+            containment_forest(g, pents)
 
 
 def test_annulus_excludes_chord_drawn_inside_inner_cycle():
@@ -494,12 +572,6 @@ def test_region_graph_keeps_edge_shared_by_two_holes():
     assert region.edge_count == 30
     assert count_3_colorings(region) == count_3_colorings(g) == 7200
     _check_region(g, None, holes)
-
-
-_TOWERS = st.one_of(
-    st.integers(2, 8).map(lambda h: (pentagon_tower(h), h)),
-    st.tuples(st.integers(3, 8), st.integers(0, 10**6), st.integers(0, 4))
-    .map(lambda a: (perturbed_tower(*a), a[0])))
 
 
 @settings(max_examples=100, deadline=None)
