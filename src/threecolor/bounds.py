@@ -40,7 +40,7 @@ def meets_power_bound(count: int, m: int, denominator: int) -> bool:
     if m < 0 or denominator <= 0:
         raise ValueError("bad bound exponent")
     if count <= 0:
-        return m == 0 and count >= 1
+        return False
     return count ** denominator >= 2 ** m
 
 

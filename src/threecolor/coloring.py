@@ -24,7 +24,7 @@ import logging
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, GraphFormatError
 from .plane_graph import PlaneGraph, _read_json, canonical_cycle
@@ -69,33 +69,18 @@ def _picker(idx: Sequence[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*idx)
 
 
-class _Step(NamedTuple):
-    """What placing one vertex does to the frontier, planned once.
-
-    ``nbrs`` reads the colors of the vertex's placed neighbours from a
-    state (a bare color when there is one neighbour, else a tuple);
-    ``allowed`` memoizes those colors to the vertex's allowed colors;
-    ``key`` maps the grown state to the next state, or is ``None`` when
-    the grown state is already the next state.
-    """
-
-    nbrs: Callable
-    single: bool
-    choices: tuple
-    allowed: dict
-    key: Callable | None
-
-
 def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
-          tag: Callable) -> tuple[list, Callable | None]:
-    """Plan every vertex step of the sweep, plus the final reordering of
-    the group slots into group order (``None`` when already in order).
+          tag: Callable) -> list:
+    """Plan every vertex step of the sweep as ``(reads, extensions, key)``.
 
-    A frontier slot is ``("v", u)`` for a placed vertex that is still
-    needed, or ``("t", i)`` for group ``i`` once all its members are
-    placed; it holds the group's tag.  New group slots go in front, so a
-    step at which no vertex leaves and no group completes keeps the
-    grown state as is.
+    A state holds the tags of the completed groups in group order, then
+    the colors of the placed vertices that are still needed, in placement
+    order.  ``reads`` picks from a state the colors of the vertex's placed
+    neighbours, then those of the other members of each group completing
+    at this step.  ``extensions(seen)`` gives one tuple per allowed color
+    ``c``: ``c``, then the tag of each completing group's colors.  ``key``
+    maps ``state + extension`` onto the next state's layout, or is
+    ``None`` when it already has that layout.
     """
     pos = {v: p for p, v in enumerate(order)}
     last = {v: max((pos[w] for w in g.neighbors(v)), default=-1) for v in order}
@@ -107,42 +92,49 @@ def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
         for v in grp:
             held[v] = max(held.get(v, -1), done)
     steps = []
-    layout: list = []
+    tags: list = []          # ("t", i) for each completed group i
+    placed: list = []        # placed vertices still needed
     for p, v in enumerate(order):
+        slot = {u: len(tags) + i for i, u in enumerate(placed)}
         nbrs = set(g.neighbors(v))
-        checks = [i for i, (kind, u) in enumerate(layout)
-                  if kind == "v" and u in nbrs]
-        grown = layout + [("v", v)]
-        kept = [x for x in grown
-                if x[0] == "t" or last[x[1]] > p or held.get(x[1], -1) > p]
-        proj = (None if len(kept) == len(grown)
-                else _picker([grown.index(x) for x in kept]))
+        idx = [slot[u] for u in placed if u in nbrs]
+        choices = (fixed[v],) if v in fixed else (1, 2, 3)
         done = completes.get(p, ())
-        key = proj
-        if done:
-            key = _group_slots(grown, [groups[i] for i in done], tag, proj)
-            kept = [("t", i) for i in done] + kept
-        steps.append(_Step(
-            nbrs=itemgetter(*checks) if checks else (lambda s: ()),
-            single=len(checks) == 1,
-            choices=(fixed[v],) if v in fixed else (1, 2, 3),
-            allowed={}, key=key))
-        layout = kept
-    final = [layout.index(("t", i)) for i in range(len(groups))]
-    return steps, (None if final == list(range(len(layout))) else _picker(final))
+        new = [("t", i) for i in done]
+        grown = tags + placed + [v] + new
+        tags = sorted(tags + new)
+        placed = [u for u in placed + [v] if last[u] > p or held.get(u, -1) > p]
+        kept = [grown.index(x) for x in tags + placed]
+        key = None if kept == list(range(len(grown))) else _picker(kept)
+        if not done:     # the common step, kept lean: no tag, one read or more
+            if len(idx) == 1:
+                steps.append((itemgetter(*idx), lambda seen, ch=choices: tuple(
+                    [(c,) for c in ch if c != seen]), key))
+            else:
+                steps.append((_picker(idx), lambda seen, ch=choices: tuple(
+                    [(c,) for c in ch if c not in seen]), key))
+            continue
+        nb = len(idx)
+        members = []     # per group: None for v, else a position in ``seen``
+        for i in done:
+            others = [u for u in groups[i] if u != v]
+            at = iter(range(len(idx), len(idx) + len(others)))
+            members.append([None if u == v else next(at) for u in groups[i]])
+            idx += [slot[u] for u in others]
+        steps.append((_picker(idx), _completing(nb, choices, members, tag), key))
+    return steps
 
 
-def _group_slots(grown: list, done: list, tag: Callable,
-                 proj: Callable | None) -> Callable:
-    """The key function of a step at which the groups ``done`` complete:
-    their new slots in front of the projected grown state."""
-    picks = [_picker([grown.index(("v", u)) for u in grp]) for grp in done]
-
-    def extra(full):
-        return tuple([tag(pick(full)) for pick in picks])
-    if proj is None:
-        return lambda full: extra(full) + full
-    return lambda full: extra(full) + proj(full)
+def _completing(nb: int, choices: tuple, members: list,
+                tag: Callable) -> Callable:
+    """The extensions of a step at which groups complete, for ``seen``
+    holding ``nb`` neighbour colors and then the other members' colors."""
+    def extensions(seen):
+        banned = seen[:nb]
+        return tuple([(c, *[tag(tuple([c if i is None else seen[i] for i in m]))
+                            for m in members])
+                      for c in choices if c not in banned])
+    return extensions
 
 
 def pinned_counts(g, pinned: Sequence = (),
@@ -164,7 +156,8 @@ def pinned_counts(g, pinned: Sequence = (),
     group)``, one per group.  A group's tag is taken as soon as its last
     member is placed, and its members then leave the frontier like any
     other vertex, so the sweep carries one slot per group instead of
-    its colors.
+    its colors.  ``tag`` runs once per entry of a step's memoized
+    extension table, not once per state.
     """
     fixed = dict(fixed or {})
     verts = set(g.vertices)
@@ -183,31 +176,27 @@ def pinned_counts(g, pinned: Sequence = (),
         for v in grp:
             if v not in verts:
                 raise ValueError(f"vertex {v} not in graph")
-    steps, final = _plan(_bfs_order(g), g, groups, fixed, tag)
     states = {(): 1}
     updates = 0
-    for nbrs, single, choices, memo, key in steps:
+    for reads, extensions, key in _plan(_bfs_order(g), g, groups, fixed, tag):
         nxt: dict = {}
         get = nxt.get
+        memo: dict = {}
         for state, cnt in states.items():
-            seen = nbrs(state)
-            allowed = memo.get(seen)
-            if allowed is None:
-                banned = (seen,) if single else seen
-                allowed = memo[seen] = tuple(c for c in choices
-                                             if c not in banned)
-            for c in allowed:
-                full = state + (c,)
+            seen = reads(state)
+            exts = memo.get(seen)
+            if exts is None:
+                exts = memo[seen] = extensions(seen)
+            for ext in exts:
+                full = state + ext
                 if key is not None:
                     full = key(full)
                 nxt[full] = get(full, 0) + cnt
-            updates += len(allowed)
+            updates += len(exts)
         if updates > budget:
             raise BudgetExceededError(budget)
         states = nxt
-    if final is None:
-        return states, updates
-    return {final(s): cnt for s, cnt in states.items()}, updates
+    return states, updates
 
 
 def count_3_colorings(g, budget: int = DEFAULT_BUDGET) -> int:
@@ -420,7 +409,8 @@ def colorings_from_switching(g, coloring, family_size: int | None = None) -> set
 # ---------------------------------------------------------------------------
 
 def load_coloring(source, g: PlaneGraph) -> tuple:
-    """Read ``{"colors": {"a": 1, ...}}`` and validate it against ``g``."""
+    """Read ``{"colors": {"a": 1, ...}}`` from a file path or the parsed
+    data, and validate it against ``g``."""
     data = _read_json(source)
     if not isinstance(data, dict) or "colors" not in data:
         raise GraphFormatError({"error": "bad_schema", "detail": "missing 'colors'"})

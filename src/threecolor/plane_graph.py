@@ -261,35 +261,34 @@ def _cyclic_norm(seq: list) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _read_json(source):
-    """The data behind a loader's ``source``: a file path, a JSON text
-    starting with ``{``, or the data itself.  A missing, unreadable,
-    non-UTF-8 or malformed source raises :class:`GraphFormatError`."""
-    if isinstance(source, Path) or (
-            isinstance(source, str) and not source.lstrip().startswith("{")):
-        path = str(source)
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except FileNotFoundError:
-            raise GraphFormatError({"error": "no_such_file", "path": path}) from None
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError({"error": "bad_encoding", "path": path,
-                                    "detail": str(exc)}) from None
-        except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
-            raise GraphFormatError({"error": "unreadable_file", "path": path,
-                                    "detail": str(exc)}) from None
-    elif isinstance(source, str):
-        text = source
-    else:
+    """The data behind a loader's ``source``: a ``str`` or
+    :class:`~pathlib.Path` is a file path, anything else is the parsed
+    data itself.  A missing, unreadable, non-UTF-8 or malformed file
+    raises :class:`GraphFormatError`."""
+    if not isinstance(source, (str, Path)):
         return source
+    path = str(source)
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise GraphFormatError({"error": "no_such_file", "path": path}) from None
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError({"error": "bad_encoding", "path": path,
+                                "detail": str(exc)}) from None
+    except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
+        raise GraphFormatError({"error": "unreadable_file", "path": path,
+                                "detail": str(exc)}) from None
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:   # too long a number, too deep
-        raise GraphFormatError({"error": "bad_json", "detail": str(exc)}) from None
+        raise GraphFormatError({"error": "bad_json", "path": path,
+                                "detail": str(exc)}) from None
 
 
 def load_plane_graph(source) -> PlaneGraph:
-    """Load a plane graph from a dict, a JSON string, or a file path.
+    """Load a plane graph from a file path (``str`` or ``Path``) or from
+    the parsed JSON data.
 
     Expected shape::
 

@@ -30,6 +30,9 @@ def test_power_bound_examples():
     assert antichain_bound(2, 6)
     assert not antichain_bound(1, 6)
     assert antichain_bound(1, 0)
+    # no count below 1 meets a bound, though (-1)**6 >= 2**0
+    assert not antichain_bound(-1, 0)
+    assert not antichain_bound(0, 0)
     assert chain_bound(2, 7)
     assert not chain_bound(1, 7)
     # fractional exponent decided exactly: 2**(7/6) = 2.24... > 2

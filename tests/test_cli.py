@@ -1,10 +1,16 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threecolor import load_plane_graph, count_3_colorings
+from threecolor import (
+    count_3_colorings,
+    load_plane_graph,
+    pentagon_tower,
+    plane_graph_to_json,
+)
 from threecolor.cli import main
 
 from builders import GRAPH_SHAPED
@@ -265,8 +271,18 @@ def test_deeply_nested_json_exit_code(tmp_path, capsys):
         path.write_text(text)
         code, stdout, err = run_cli(capsys, "count", str(path))
         assert code == 2, name
-        assert json.loads(stdout.splitlines()[0])["error"] == "bad_json"
+        record = json.loads(stdout.splitlines()[0])
+        assert record["error"] == "bad_json"
+        assert record["path"] == str(path)
         assert "Traceback" not in err
+
+
+def test_path_starting_with_brace_is_a_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "generate", "--family", "tower", "--k", "2", "--out", "{t}.json")
+    code, stdout, _ = run_cli(capsys, "count", "{t}.json", "--json")
+    assert code == 0
+    assert json.loads(stdout)["count"] == 180
 
 
 def test_out_of_memory_exit_code(monkeypatch, tmp_path, capsys):
@@ -284,6 +300,67 @@ def test_out_of_memory_exit_code(monkeypatch, tmp_path, capsys):
         assert code == 3, argv
         assert json.loads(stdout) == {"error": "memory"}
         assert "memory" in err
+
+
+_INTS = st.integers(-3, 6).map(str)
+_VERTEX_LISTS = st.sampled_from([
+    "v1.0,v1.1,v1.2,v1.3,v1.4", "v0.0,v0.1,v0.2,v0.3,v0.4",
+    "v0.4,v0.3,v0.2,v0.1,v0.0", "v1.0,v0.0,v0.1,v0.2,v0.3", "v0.0,v0.1", "x,y"])
+_FLAGS = {      # subcommand -> (positional arguments, {flag: value kind})
+    "generate": (0, {"--family": "family", "--k": "int", "--seed": "int",
+                     "--ops": "int", "--out": "path", "--json": None}),
+    "count": (1, {"--budget": "int", "--threads": "int", "--json": None}),
+    "analyze": (1, {"--k": "int", "--json": None}),
+    "transition": (1, {"--outer": "cycle", "--inner": "cycle",
+                       "--budget": "int", "--threads": "int", "--json": None}),
+    "matrix-lemma": (0, {"--n": "int", "--seed": "int", "--trials": "int",
+                         "--json": None}),
+    "verify-bounds": (2, {"--k": "int", "--budget": "int", "--threads": "int",
+                          "--json": None}),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with some of its flags, each value drawn mostly from
+    its own kind and sometimes from any kind."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    positional, flags = _FLAGS[command]
+    paths = st.sampled_from(["t2.json", "missing/g.json", ".", "-"])
+    kinds = {"int": _INTS, "path": paths, "cycle": _VERTEX_LISTS,
+             "family": st.sampled_from(["tower", "shared", "dodeca", "garden",
+                                        "perturbed"]),
+             "text": st.text(max_size=4)}
+    anything = st.one_of(*kinds.values())
+
+    def value(kind):        # one value in six is of any kind
+        return draw(anything if draw(st.integers(0, 5)) == 0 else kinds[kind])
+    argv = [command] + [value("path") for _ in range(positional)]
+    for flag in draw(st.permutations(sorted(flags))):
+        if draw(st.integers(0, 3)) == 0:       # most flags are given
+            continue
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(value(flags[flag]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argvs())
+def test_fuzzed_argv_exits_cleanly(tmp_path_factory, argv):
+    # relative paths resolve in a scratch directory holding a tower 2
+    # that an earlier ``generate --out t2.json`` may have replaced
+    work = tmp_path_factory.getbasetemp() / "argv"
+    work.mkdir(exist_ok=True)
+    (work / "t2.json").write_text(plane_graph_to_json(pentagon_tower(2)))
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        assert main(argv) in (0, 1, 2, 3)
+    except SystemExit as exc:
+        assert exc.code in (0, 2)
+    finally:
+        os.chdir(cwd)
 
 
 @settings(max_examples=150, deadline=None)

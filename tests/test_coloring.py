@@ -32,7 +32,15 @@ from threecolor import (
 from threecolor.generators import garden_pentagons
 from threecolor.plane_graph import identify_neighbors
 
-from builders import chorded_pentagon, cycle_graph, path_graph, single_edge, single_vertex
+from builders import (
+    JSON_VALUES,
+    NAMES,
+    chorded_pentagon,
+    cycle_graph,
+    path_graph,
+    single_edge,
+    single_vertex,
+)
 from oracles import scan_count_colorings, special_vertex_by_definition
 
 PENTAGON_PATTERNS = [p for p in product((1, 2, 3), repeat=5)
@@ -437,6 +445,22 @@ def test_coloring_file_rejects_partial_and_bad_colors():
     for colors in ({"a": True, "b": 2}, {"a": 1.0, "b": 2}, None, ["a", "b"]):
         with pytest.raises(GraphFormatError):
             load_coloring({"colors": colors}, g)
+
+
+_PENTAGON_LABELS = st.sampled_from([f"c{i}" for i in range(5)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(JSON_VALUES, st.fixed_dictionaries({"colors": st.one_of(
+    JSON_VALUES, st.dictionaries(_PENTAGON_LABELS | NAMES,
+                                 st.integers(-1, 4) | JSON_VALUES, max_size=6),
+    st.fixed_dictionaries({lab: st.integers(0, 4) for lab in
+                           (f"c{i}" for i in range(5))}))})))
+def test_coloring_loader_raises_only_graph_format_errors(data):
+    try:
+        load_coloring(data, cycle_graph(5))
+    except GraphFormatError:
+        pass
 
 
 def test_brute_force_helper_agrees():

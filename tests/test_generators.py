@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from threecolor import (
@@ -22,7 +24,7 @@ def test_every_generator_output_revalidates(corpus):
     # the PlaneGraph constructor re-runs the full loader validation; a
     # JSON round trip re-runs it once more
     for name, g in corpus:
-        again = load_plane_graph(plane_graph_to_json(g))
+        again = load_plane_graph(json.loads(plane_graph_to_json(g)))
         assert again.n == g.n
         assert again.edge_count == g.edge_count
         assert is_triangle_free(again), name

@@ -179,6 +179,7 @@ def test_loaders_map_malformed_json_to_bad_json(tmp_path):
             with pytest.raises(GraphFormatError) as exc:
                 load(str(path))
             assert exc.value.report["error"] == "bad_json", name
+            assert exc.value.report["path"] == str(path)
 
 
 @settings(max_examples=400, deadline=None)

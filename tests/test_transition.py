@@ -249,6 +249,24 @@ def test_outer_to_inner_matrix_matches_pattern_oracle(height, seed, ops):
     assert m.raw_count == count_3_colorings(g)
 
 
+def test_special_position_tag_calls_are_pinned(monkeypatch):
+    # the sweep tags a pentagon once per entry of a step's memoized
+    # extension table, not once per state, so the count stays flat in
+    # the tower height
+    import threecolor.transition as tr
+
+    calls = []
+    real = tr._special_position
+    monkeypatch.setattr(tr, "_special_position",
+                        lambda cols: calls.append(cols) or real(cols))
+    for k, updates in ((3, 3135), (5, 10275), (8, 20985)):
+        g = pentagon_tower(k)
+        pents = tower_pentagons(g, k)
+        calls.clear()
+        assert transition_matrix(g, pents[-1], pents[0]).updates == updates
+        assert len(calls) == 90, k
+
+
 def test_special_position_tag_rejects_improper_pentagon():
     from threecolor.transition import _special_position
     assert _special_position((1, 2, 1, 2, 3)) == 4
