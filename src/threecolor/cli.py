@@ -3,13 +3,15 @@
 Subcommands: generate, count, analyze, transition, matrix-lemma,
 verify-bounds.  Machine reports go to stdout (JSON with --json),
 human-readable messages to stderr.  Exit codes: 0 success, 1 bound
-failure, 2 input error, 3 budget or memory exhaustion.
+failure, 2 input error, 3 budget or memory exhaustion.  ``-v`` logs
+debug lines to stderr and leaves stdout unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import random
 import sys
 
@@ -193,6 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "for triangle-free plane graphs.")
     parser.add_argument("--version", action="version",
                         version=f"threecolor {__version__}")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log debug lines, such as the work of each "
+                             "counting sweep, to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a corpus graph as JSON")
@@ -255,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verbose:
+        logging.basicConfig(level=logging.DEBUG, stream=sys.stderr)
     try:
         return args.func(args)
     except GraphFormatError as exc:

@@ -13,7 +13,11 @@ boundary counts, the extension test and transition matrices.  What
 each vertex step does to the frontier is planned once, before any
 state is visited.
 Colors are the literals 1, 2, 3 and colorings are counted as labeled
-objects (color permutations give distinct colorings).
+objects (color permutations give distinct colorings).  Permuting the
+colors maps proper colorings to proper colorings, so a sweep that
+forces no color and tags only by color-blind tags keeps one state per
+color orbit: each state is relabeled by first occurrence and holds the
+summed count of its orbit.
 
 A coloring is represented as a tuple indexed by vertex id.
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from operator import itemgetter
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
@@ -71,7 +75,8 @@ def _picker(idx: Sequence[int]) -> Callable[[tuple], tuple]:
 
 def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
           tag: Callable) -> list:
-    """Plan every vertex step of the sweep as ``(reads, extensions, key)``.
+    """Plan every vertex step of the sweep as ``(reads, extensions, key,
+    ntags)``.
 
     A state holds the tags of the completed groups in group order, then
     the colors of the placed vertices that are still needed, in placement
@@ -80,7 +85,8 @@ def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
     at this step.  ``extensions(seen)`` gives one tuple per allowed color
     ``c``: ``c``, then the tag of each completing group's colors.  ``key``
     maps ``state + extension`` onto the next state's layout, or is
-    ``None`` when it already has that layout.
+    ``None`` when it already has that layout; ``ntags`` counts the tag
+    slots of that layout.
     """
     pos = {v: p for p, v in enumerate(order)}
     last = {v: max((pos[w] for w in g.neighbors(v)), default=-1) for v in order}
@@ -109,10 +115,10 @@ def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
         if not done:     # the common step, kept lean: no tag, one read or more
             if len(idx) == 1:
                 steps.append((itemgetter(*idx), lambda seen, ch=choices: tuple(
-                    [(c,) for c in ch if c != seen]), key))
+                    [(c,) for c in ch if c != seen]), key, len(tags)))
             else:
                 steps.append((_picker(idx), lambda seen, ch=choices: tuple(
-                    [(c,) for c in ch if c not in seen]), key))
+                    [(c,) for c in ch if c not in seen]), key, len(tags)))
             continue
         nb = len(idx)
         members = []     # per group: None for v, else a position in ``seen``
@@ -121,7 +127,8 @@ def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
             at = iter(range(len(idx), len(idx) + len(others)))
             members.append([None if u == v else next(at) for u in groups[i]])
             idx += [slot[u] for u in others]
-        steps.append((_picker(idx), _completing(nb, choices, members, tag), key))
+        steps.append((_picker(idx), _completing(nb, choices, members, tag), key,
+                      len(tags)))
     return steps
 
 
@@ -135,6 +142,59 @@ def _completing(nb: int, choices: tuple, members: list,
                             for m in members])
                       for c in choices if c not in banned])
     return extensions
+
+
+_RELABEL = {(a, b): tuple({a: 1, b: 2, 6 - a - b: 3}.get(c, 0) for c in range(4))
+            for a, b in permutations((1, 2, 3), 2)}
+"""Per first two distinct colors ``(a, b)``, the relabeling, indexed by
+color, that maps them to 1 and 2."""
+
+_IDENTITY = _RELABEL[1, 2]
+_PERMUTED = [p for p in _RELABEL.values() if p is not _IDENTITY]
+_BY_PREFIX = {pre: _RELABEL[tuple(dict.fromkeys(pre))[:2]]
+              for k in (2, 3) for pre in product((1, 2, 3), repeat=k)
+              if len(set(pre)) > 1}
+"""The relabeling of every color tuple that starts with ``pre``, for the
+prefixes of two or three colors that hold two distinct colors."""
+
+
+def _color_blind(tag: Callable) -> Callable:
+    """``tag``, checked to be invariant under color permutations: the first
+    time a color tuple or one of its relabelings is tagged, all six are
+    tagged and must agree, or ``ValueError`` is raised."""
+    known: dict = {}
+
+    def checked(cols):
+        t = known.get(cols, known)
+        if t is known:
+            t = tag(cols)
+            for p in _PERMUTED:
+                moved = tuple([p[c] for c in cols])
+                if tag(moved) != t:
+                    raise ValueError("tag must be invariant under color "
+                                     "permutations when no color is fixed")
+                known[moved] = t
+            known[cols] = t
+        return t
+    return checked
+
+
+def _merge_orbits(states: dict, ntags: int) -> dict:
+    """Relabel the color slots (those after the first ``ntags``) of every
+    state by first occurrence and add the counts that meet."""
+    out: dict = {}
+    get = out.get
+    for state, cnt in states.items():
+        colors = state[ntags:] if ntags else state
+        if colors:
+            p = _BY_PREFIX.get(colors[:3])
+            if p is None:
+                a = colors[0]
+                p = _RELABEL[a, next((c for c in colors if c != a), a % 3 + 1)]
+            if p is not _IDENTITY:
+                state = state[:ntags] + tuple([p[c] for c in colors])
+        out[state] = get(state, 0) + cnt
+    return out
 
 
 def pinned_counts(g, pinned: Sequence = (),
@@ -156,8 +216,16 @@ def pinned_counts(g, pinned: Sequence = (),
     group)``, one per group.  A group's tag is taken as soon as its last
     member is placed, and its members then leave the frontier like any
     other vertex, so the sweep carries one slot per group instead of
-    its colors.  ``tag`` runs once per entry of a step's memoized
-    extension table, not once per state.
+    its colors.  ``tag`` runs per entry of a step's memoized extension
+    table, not per state.
+
+    Without ``fixed`` colors, ``tag`` must be invariant under color
+    permutations: the first time a sweep tags some colors, it also tags
+    their five other permutations, and a differing tag raises
+    ``ValueError``.  Such a sweep, like one without pins, keeps one
+    state per color orbit (see the module docstring).  Fixed colors and
+    untagged pins tell the colors apart, so their sweeps keep every
+    state.
     """
     fixed = dict(fixed or {})
     verts = set(g.vertices)
@@ -166,6 +234,7 @@ def pinned_counts(g, pinned: Sequence = (),
             raise ValueError(f"vertex {v} not in graph")
         if c not in (1, 2, 3):
             raise ValueError(f"color must be 1, 2 or 3, got {c}")
+    merge = not fixed and (tag is not None or not pinned)
     if tag is None:     # an untagged pin is a one-vertex group tagged by its color
         groups, tag = [(v,) for v in pinned], itemgetter(0)
     else:
@@ -176,9 +245,12 @@ def pinned_counts(g, pinned: Sequence = (),
         for v in grp:
             if v not in verts:
                 raise ValueError(f"vertex {v} not in graph")
+    if merge and groups:
+        tag = _color_blind(tag)
     states = {(): 1}
-    updates = 0
-    for reads, extensions, key in _plan(_bfs_order(g), g, groups, fixed, tag):
+    updates = peak = 0
+    for reads, extensions, key, ntags in _plan(_bfs_order(g), g, groups, fixed,
+                                               tag):
         nxt: dict = {}
         get = nxt.get
         memo: dict = {}
@@ -195,7 +267,11 @@ def pinned_counts(g, pinned: Sequence = (),
             updates += len(exts)
         if updates > budget:
             raise BudgetExceededError(budget)
-        states = nxt
+        states = _merge_orbits(nxt, ntags) if merge else nxt
+        peak = max(peak, len(states))
+    log.debug("sweep of %d vertices: %d updates, peak %d live states, "
+              "color orbits %s", len(verts), updates, peak,
+              "merged" if merge else "not merged")
     return states, updates
 
 

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import threecolor
 from threecolor import (
     count_3_colorings,
     load_plane_graph,
@@ -262,6 +266,23 @@ def test_human_output_modes(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "count", str(tower))
     assert code == 0
     assert "180" in stdout and not stdout.lstrip().startswith("{")
+
+
+def test_verbose_logs_sweeps_to_stderr_and_keeps_stdout(tmp_path):
+    # a fresh process, so that ``-v`` configures logging from scratch
+    tower = tmp_path / "t3.json"
+    tower.write_text(plane_graph_to_json(pentagon_tower(3)))
+    env = {**os.environ, "PYTHONPATH": str(Path(threecolor.__file__).parents[1])}
+
+    def run(*flags):
+        return subprocess.run([sys.executable, "-m", "threecolor.cli", *flags,
+                               "count", str(tower)], capture_output=True,
+                              env=env, check=True)
+    quiet, verbose = run(), run("-v")
+    assert verbose.stdout == quiet.stdout
+    assert quiet.stderr == b""
+    assert (b"sweep of 15 vertices: 191 updates, peak 24 live states, "
+            b"color orbits merged") in verbose.stderr
 
 
 def test_deeply_nested_json_exit_code(tmp_path, capsys):

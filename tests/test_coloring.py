@@ -133,6 +133,25 @@ def test_sweep_count_matches_enumeration_and_scan(g):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.one_of(count_inputs(),
+                 st.builds(perturbed_tower, st.integers(2, 6), st.integers(0, 99),
+                           st.integers(0, 4))),
+       st.data())
+def test_orbit_merged_count_matches_unmerged_sweep(g, data):
+    # a count keeps one state per color orbit; an untagged pin tells the
+    # colors apart, so its sweep keeps every state
+    merged = count_3_colorings_detailed(g)
+    v = data.draw(st.sampled_from(sorted(g.vertices)))
+    by_color, unmerged_updates = pinned_counts(g, [v])
+    assert by_color == {(c,): merged.count // 3 for c in (1, 2, 3)}
+    assert merged.nodes <= unmerged_updates
+    if g.n <= 15:
+        assert merged.count == sum(1 for _ in enumerate_3_colorings(g))
+    if g.n <= 10:
+        assert merged.count == scan_count_colorings(g)
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_pinned_and_boundary_counts_match_filtered_enumeration(data):
     g = data.draw(count_inputs())
@@ -160,8 +179,9 @@ def test_tagged_groups_match_hand_bucketed_pins(data):
         max_size=3))
     flat = [v for grp in groups for v in grp]
     plain, plain_updates = pinned_counts(g, flat, fixed)
-    for tag, same_updates in ((lambda cols: sum(cols) % 3, False),
-                              (lambda cols: cols, True)):
+    # color-blind tags: the first-occurrence pattern and the number of colors
+    for tag in (lambda cols: tuple(cols.index(c) for c in cols),
+                lambda cols: len(set(cols))):
         expected = Counter()
         for colors, cnt in plain.items():
             it = iter(colors)
@@ -169,9 +189,19 @@ def test_tagged_groups_match_hand_bucketed_pins(data):
                            for grp in groups)] += cnt
         got, updates = pinned_counts(g, groups, fixed, tag=tag)
         assert got == expected
-        # a tagged state is a function of the untagged one, and the
-        # identity tag loses nothing
-        assert updates == plain_updates if same_updates else updates <= plain_updates
+        # a tagged state is a function of the untagged one, and without
+        # fixed colors the tagged sweep also keeps one state per color orbit
+        assert updates <= plain_updates
+
+
+@pytest.mark.parametrize("tag", [lambda cols: cols, lambda cols: sum(cols) % 3])
+def test_color_dependent_tag_is_rejected_without_fixed_colors(tag):
+    g = pentagon_tower(2)
+    with pytest.raises(ValueError, match="invariant under color permutations"):
+        pinned_counts(g, [(0, 1, 2)], tag=tag)
+    # fixed colors keep exact colors, so any tag is allowed there
+    states, _ = pinned_counts(g, [(0, 1, 2)], {4: 1}, tag=tag)
+    assert sum(states.values()) == count_with_boundary(g, {4: 1}).count
 
 
 def test_tagged_groups_reject_empty_and_unknown_members():
@@ -185,9 +215,9 @@ def test_tagged_groups_reject_empty_and_unknown_members():
 def test_state_update_counts_are_pinned():
     # ``budget`` and ``budget_used`` count these frontier state updates,
     # so a rewrite of the sweep must not change them
-    for k, nodes in zip(range(3, 7), (1113, 1827, 2541, 3255)):
+    for k, nodes in zip(range(3, 7), (191, 310, 429, 548)):
         assert count_3_colorings_detailed(pentagon_tower(k)).nodes == nodes
-    assert count_3_colorings_detailed(dodecahedron()).nodes == 4365
+    assert count_3_colorings_detailed(dodecahedron()).nodes == 735
 
 
 def test_budget_error():

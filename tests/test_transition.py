@@ -20,6 +20,7 @@ from threecolor import (
     matrix_report,
     pentagon_tower,
     perturbed_tower,
+    pinned_counts,
     potential,
     s_k,
     shared_path_pentagons,
@@ -28,6 +29,8 @@ from threecolor import (
     transition_matrix,
     verify_product_bound,
 )
+from threecolor.coloring import SPECIAL_POSITION
+from threecolor.plane_graph import annulus_subgraph
 from threecolor.transition import _random_doubling, random_matrix_chain
 
 from builders import annulus_instances
@@ -249,22 +252,53 @@ def test_outer_to_inner_matrix_matches_pattern_oracle(height, seed, ops):
     assert m.raw_count == count_3_colorings(g)
 
 
+def test_orbit_merged_matrix_matches_unmerged_sweep():
+    # untagged pins on both pentagons keep every state; bucketing their
+    # colors by special position gives the raw cells of the matrix
+    for name, g, outer, inner in annulus_instances():
+        m = transition_matrix(g, outer, inner)
+        ann = annulus_subgraph(g, m.row_labels, m.col_labels)
+        states, updates = pinned_counts(ann, m.row_labels + m.col_labels)
+        raw = [[0] * 5 for _ in range(5)]
+        for colors, cnt in states.items():
+            raw[SPECIAL_POSITION[colors[:5]]][SPECIAL_POSITION[colors[5:]]] += cnt
+        assert raw == [[6 * x for x in row] for row in m.entries], name
+        assert m.updates < updates, name
+
+
+def test_divisible_by_six_guard_fires_on_an_off_by_one_cell(monkeypatch):
+    import threecolor.transition as tr
+
+    real = tr.pinned_counts
+
+    def off_by_one(*args, **kwargs):
+        states, updates = real(*args, **kwargs)
+        first = next(iter(states))
+        return {**states, first: states[first] + 1}, updates
+    monkeypatch.setattr(tr, "pinned_counts", off_by_one)
+    g = pentagon_tower(3)
+    pents = tower_pentagons(g, 3)
+    with pytest.raises(FalsificationError, match="not divisible by 6"):
+        transition_matrix(g, pents[1], pents[0])
+
+
 def test_special_position_tag_calls_are_pinned(monkeypatch):
-    # the sweep tags a pentagon once per entry of a step's memoized
-    # extension table, not once per state, so the count stays flat in
-    # the tower height
+    # the sweep tags pentagon colors on misses of a step's memoized
+    # extension table, not per state, and the color-blindness check
+    # tags each relabeling of them once per sweep, so the count stays
+    # flat in the tower height
     import threecolor.transition as tr
 
     calls = []
     real = tr._special_position
     monkeypatch.setattr(tr, "_special_position",
                         lambda cols: calls.append(cols) or real(cols))
-    for k, updates in ((3, 3135), (5, 10275), (8, 20985)):
+    for k, updates in ((3, 526), (5, 1716), (8, 3501)):
         g = pentagon_tower(k)
         pents = tower_pentagons(g, k)
         calls.clear()
         assert transition_matrix(g, pents[-1], pents[0]).updates == updates
-        assert len(calls) == 90, k
+        assert len(calls) == 30, k
 
 
 def test_special_position_tag_rejects_improper_pentagon():
