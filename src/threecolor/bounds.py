@@ -25,7 +25,7 @@ from typing import Sequence
 from .coloring import DEFAULT_BUDGET, count_3_colorings_detailed
 from .errors import BudgetExceededError
 from .laminar import CycleFamily, dilworth_decompose, extract
-from .plane_graph import PlaneGraph, interior_faces, triangle_free
+from .plane_graph import PlaneGraph, region_partition, triangle_free
 from .transition import compose, transition_matrix
 
 DEFAULT_K = 213
@@ -163,7 +163,8 @@ def _chain_total(g: PlaneGraph, chain: Sequence, budget: int,
                  spent: int) -> tuple[int, int]:
     """``chain_matrix_total`` with ``spent`` updates already charged to
     ``budget``; returns the total and the updates spent in all."""
-    ordered = sorted(chain, key=lambda c: len(interior_faces(g, c)), reverse=True)
+    ordered = sorted(chain, key=lambda c: region_partition(g, c).face_mask.bit_count(),
+                     reverse=True)
     mats = []
     for outer, inner in zip(ordered, ordered[1:]):
         try:

@@ -16,10 +16,11 @@ The family is found recursively: with no separating 5-cycle the set of
 *all* 5-cycles is laminar; otherwise the graph is split along a
 separating 5-cycle (kept on both sides) and the two families are
 merged.  The 5-cycles and their region partitions are computed once on
-the host graph, and the recursion works on sets of host vertices: a
-5-cycle is chordless, so each side is the induced subgraph on its
-vertex set, and since it inherits the host embedding, its regions are
-the host regions cut down to that set.
+the host graph, and the recursion works on sets of host vertices,
+bitmasks like the partitions themselves: a 5-cycle is chordless, so
+each side is the induced subgraph on its vertex set, and since it
+inherits the host embedding, its regions are the host regions cut down
+to that set.
 
 A laminar family orders into a forest under interior containment, built
 in one pass that also decides laminarity; ``dilworth_decompose`` reads
@@ -37,8 +38,8 @@ from .plane_graph import (
     Cycle,
     PlaneGraph,
     enumerate_cycles,
-    interior_faces,
     low_degree_set,
+    mask_members,
     region_partition,
     triangle_free,
     validate_cycle,
@@ -101,31 +102,6 @@ def extract(g: PlaneGraph, k: int) -> LaminarOutcome:
                           family=CycleFamily(cycles=tuple(family), kind="laminar"))
 
 
-@dataclass(frozen=True)
-class _Region:
-    """A host 5-cycle with its vertex, interior and exterior sets, each
-    as a bitmask over host vertex ids."""
-
-    cycle: Cycle
-    vertices: int
-    interior: int
-    exterior: int
-
-
-def _mask(vertices) -> int:
-    return sum(1 << v for v in vertices)
-
-
-def _members(mask: int) -> list[int]:
-    """The vertex ids of a bitmask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _covering_family(g: PlaneGraph, k: int, fives: list[Cycle]) -> list[Cycle]:
     """Family construction by splitting on separating 5-cycles.
 
@@ -134,50 +110,46 @@ def _covering_family(g: PlaneGraph, k: int, fives: list[Cycle]) -> list[Cycle]:
     is the separating cycle with the fewest interior vertices in S (ties
     to the least cycle), and its two sides are the cut plus its interior
     or exterior part of S.  With no separating cycle, all 5-cycles
-    inside S join the family.
+    inside S join the family.  Vertex sets are bitmasks over the vertex
+    numbering of ``g.dual_tree``, the numbering region partitions use.
 
     Only reached once no low-degree vertex of the host is reducible; it
     is then a theorem that no vertex is reducible on any side either, so
     a reducible vertex on a side is reported as a falsification.
     """
-    nbrs = [_mask(g.neighbors(v)) for v in g.vertices]
-    regions = []
-    for c in fives:
-        parts = region_partition(g, c)
-        regions.append(_Region(c, _mask(c), _mask(parts.interior),
-                               _mask(parts.exterior)))
+    regions = [region_partition(g, c) for c in fives]
     family: set = set()
-    work = [(_mask(g.vertices), regions)]
+    work = [(g.dual_tree.all_vertices, regions)]
     while work:
         s, inside = work.pop()
-        separating = [((r.interior & s).bit_count(), r.cycle, r)
-                      for r in inside if r.interior & s and r.exterior & s]
+        separating = [((r.interior_mask & s).bit_count(), r.cycle, r)
+                      for r in inside if r.interior_mask & s and r.exterior_mask & s]
         if not separating:
             family.update(r.cycle for r in inside)
             continue
         cut = min(separating)[2]
-        for side in (cut.vertices | (cut.interior & s),
-                     cut.vertices | (cut.exterior & s)):
+        for side in (cut.boundary_mask | (cut.interior_mask & s),
+                     cut.boundary_mask | (cut.exterior_mask & s)):
             if side.bit_count() >= s.bit_count():
                 raise FalsificationError("separating cycle failed to shrink the graph")
-            within = [r for r in inside if r.vertices & side == r.vertices]
-            _check_side(g, k, side, within, nbrs)
+            within = [r for r in inside if r.boundary_mask & side == r.boundary_mask]
+            _check_side(g, k, side, within)
             work.append((side, within))
     return sorted(family)
 
 
-def _check_side(g: PlaneGraph, k: int, side: int, within: list[_Region],
-                nbrs: list[int]) -> None:
-    """Guard on one split side: no vertex of side degree at most k
-    (``nbrs`` holds the host neighbour masks) lies on none of its
-    5-cycles.  A side is an induced subgraph of the host, so a triangle
-    in it is a triangle of the host, which ``extract`` rejects at entry.
+def _check_side(g: PlaneGraph, k: int, side: int, within: list) -> None:
+    """Guard on one split side: no vertex of side degree at most k lies
+    on none of its 5-cycles (the region partitions ``within``).  A side
+    is an induced subgraph of the host, so a triangle in it is a
+    triangle of the host, which ``extract`` rejects at entry.
     """
     on_five = 0
     for r in within:
-        on_five |= r.vertices
-    for v in _members(side & ~on_five):
-        if (nbrs[v] & side).bit_count() <= k:
+        on_five |= r.boundary_mask
+    t = g.dual_tree
+    for v in sorted(t.vertices(side & ~on_five)):
+        if sum(side >> t.vpos[w] & 1 for w in g.neighbors(v)) <= k:
             raise FalsificationError(
                 f"vertex {g.label(v)} became reducible inside a split, "
                 "which contradicts the reduction dichotomy")
@@ -222,26 +194,43 @@ def _forest(g: PlaneGraph, family: Sequence) -> ContainmentForest | None:
     """The containment forest of a family, or None if two members cross.
 
     Members are visited by decreasing interior size (ties to the least
-    cycle); each face remembers the last visited member holding it.  In
-    a laminar family all faces of c then name one owner, c's parent; if
-    c crosses an earlier d, a face in both and one in c only do not.
+    cycle).  A member's parent is the last one visited before it that
+    holds its least interior face; going through the members in reverse
+    order, each one adopts the waiting members whose face it holds.  In
+    a laminar family that is the minimal member containing it.  The
+    result is laminar iff each member lies inside its parent and the
+    children of each parent (and the roots) are pairwise disjoint: then
+    two members are nested along a path, or lie inside disjoint
+    siblings.  All of it works on interior face masks.
     """
     cycles = sorted({validate_cycle(g, c) for c in family})
-    regions = {c: interior_faces(g, c) for c in cycles}
+    faces = {c: region_partition(g, c).face_mask for c in cycles}
+    order = sorted(cycles, key=lambda c: (-faces[c].bit_count(), c))
     forest = ContainmentForest(children={c: [] for c in cycles})
-    owner: dict = {}
-    for c in sorted(cycles, key=lambda c: (-len(regions[c]), c)):
-        owners = {owner.get(f) for f in regions[c]}
-        if len(owners) > 1:
-            return None
-        parent = owners.pop()
-        forest.parent[c] = parent
+    adopted: dict = {}
+    waiting: dict = {}       # least face -> members still without a parent
+    pending = 0              # the least faces of the waiting members
+    for c in reversed(order):
+        held = pending & faces[c]
+        for f in mask_members(held):
+            adopted.update(dict.fromkeys(waiting.pop(f), c))
+        pending ^= held
+        least = faces[c] & -faces[c]
+        waiting.setdefault(least.bit_length() - 1, []).append(c)
+        pending |= least
+    union: dict = {}         # parent -> union of its children's faces
+    for c in order:
+        parent = forest.parent[c] = adopted.get(c)
         if parent is None:
             forest.depth[c] = 1
         else:
+            if faces[c] & ~faces[parent]:
+                return None
             forest.depth[c] = forest.depth[parent] + 1
             forest.children[parent].append(c)
-        owner.update(dict.fromkeys(regions[c], c))
+        if union.get(parent, 0) & faces[c]:
+            return None
+        union[parent] = union.get(parent, 0) | faces[c]
     for kids in forest.children.values():
         kids.sort()
     forest.roots = tuple(c for c in cycles if forest.parent[c] is None)
@@ -276,8 +265,11 @@ def dilworth_decompose(g: PlaneGraph, family) -> tuple[CycleFamily, CycleFamily]
         raise FalsificationError(
             f"chain x antichain = {len(chain)} x {len(antichain)} < "
             f"family size {m}")
-    anti_regions = [interior_faces(g, c) for c in antichain]
-    if sum(map(len, anti_regions)) != len(frozenset().union(*anti_regions)):
-        raise FalsificationError("antichain members share interior")
+    union = 0
+    for c in antichain:
+        faces = region_partition(g, c).face_mask
+        if union & faces:
+            raise FalsificationError("antichain members share interior")
+        union |= faces
     return (CycleFamily(cycles=chain, kind="chain"),
             CycleFamily(cycles=antichain, kind="antichain"))

@@ -7,14 +7,24 @@ dart (u, v) is followed by (v, w) where w is the successor of u in the
 rotation at v.  No coordinates are stored; everything downstream is
 derived from the face structure.
 
-The interior of a cycle is represented as a set of face indices: the
-faces that are *not* reachable from the outer face in the dual graph
-once the dual edges crossing the cycle are removed.  This matches the
-open bounded region of the cycle exactly: two open interiors intersect
-iff they share a face, and one contains the other iff the face sets are
-nested.  Crossing, laminarity, chains and antichains all reduce to set
-algebra on interior face sets.  A region cut along cycles (the annulus
-between two nested cycles, or a graph with some cycle interiors
+The interior of a cycle is the set of faces that are *not* reachable
+from the outer face in the dual graph once the dual edges crossing the
+cycle are removed.  This matches the open bounded region of the cycle
+exactly: two open interiors intersect iff they share a face, and one
+contains the other iff the face sets are nested.  Crossing, laminarity,
+chains and antichains all reduce to set algebra on interior face sets.
+Each graph fixes one depth-first spanning tree of its dual, rooted at
+the outer face (:class:`DualTree`), and numbers the faces in preorder,
+so every subtree is an interval.  A face is inside a cycle iff its tree
+path crosses the cycle an odd number of times, so the interior is the
+XOR of the subtree intervals of the tree edges dual to the cycle's
+edges: a bitmask from O(|C|) big-int operations, with no search.
+Vertices are numbered by the preorder of one incident face, which makes
+the interior vertices the same XOR over vertex intervals, less the
+cycle.  :func:`region_partition` returns these masks; the frozensets of
+face and vertex ids are views built on first use, for tests and
+callers, and no hot path reads them.  A region cut along cycles (the
+annulus between two nested cycles, or a graph with some cycle interiors
 deleted) is an :class:`AbstractGraph` on the host's vertex ids: counting
 needs only its vertices and edges, so nothing is re-embedded.
 
@@ -25,7 +35,8 @@ identifiers are kept as labels for I/O.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -232,6 +243,11 @@ class PlaneGraph:
         return self._index[str(label)]
 
     @cached_property
+    def dual_tree(self) -> DualTree:
+        """The dual spanning tree that cycle regions are read from."""
+        return DualTree(self)
+
+    @cached_property
     def facial_cycles(self) -> tuple[Cycle, ...]:
         """Canonical forms of the face walks that are simple cycles."""
         return tuple(canonical_cycle(walk) for walk in self.faces
@@ -365,69 +381,226 @@ def interior_faces(g: PlaneGraph, cycle: Sequence[int]) -> frozenset:
     return region_partition(g, cycle).faces
 
 
+def mask_members(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    bits = bin(mask)[:1:-1]          # least significant first, no "0b"
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
+
+
+def _edge(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
+class DualTree:
+    """A depth-first spanning tree of the dual graph, rooted at the outer
+    face, with the numberings that make every cycle region a few
+    intervals.  Built once per graph (``PlaneGraph.dual_tree``); it holds
+    no reference to the graph.
+
+    The dual edge of host edge {u, v} joins the faces of its two darts.
+    Faces are numbered in preorder (``pre``, and ``face_at`` back), so
+    the subtree of face f is the interval ``[pre[f], pre[f] + size[f])``.
+    ``child[e]`` is the lower end of the tree edge dual to host edge e
+    (a sorted vertex pair).  Every other edge carries a fixed
+    pseudo-random 64-bit ``label[e]``, and ``cut[f]`` is the XOR of the
+    labels of those whose dual edge has exactly one end in the subtree
+    of f.  Vertices are numbered by the preorder index of one incident
+    face (the face of their first rotation dart), ties by id (``vpos``,
+    and ``vert_at`` back); the vertices so attached to the subtree of f
+    are the positions ``[vstart[pre[f]], vstart[pre[f] + size[f]])``.
+    Faces the outer face does not reach (possible only in a corrupted
+    face table) start trees of their own.
+    """
+
+    def __init__(self, g: PlaneGraph):
+        face_of = g.face_of_dart
+        nf = len(g.faces)
+        darts: list[list[Dart]] = [[] for _ in range(nf)]
+        for dart, f in face_of.items():
+            darts[f].append(dart)
+        pre = [-1] * nf
+        size = [0] * nf
+        up = [None] * nf                 # face -> its parent face
+        face_at: list[int] = []
+        child: dict = {}
+        label: dict = {}
+        rng = random.Random(0)
+        for root in (g.outer_face, *range(nf)):
+            if pre[root] >= 0:
+                continue
+            pre[root] = len(face_at)
+            face_at.append(root)
+            stack = [(root, iter(darts[root]))]
+            while stack:
+                f, todo = stack[-1]
+                for a, b in todo:
+                    e = _edge(a, b)
+                    if e in child or e in label:
+                        continue
+                    h = face_of[(b, a)]
+                    if pre[h] < 0:
+                        child[e] = h
+                        up[h] = f
+                        pre[h] = len(face_at)
+                        face_at.append(h)
+                        stack.append((h, iter(darts[h])))
+                        break
+                    label[e] = rng.getrandbits(64)
+                else:
+                    stack.pop()
+                    size[f] = len(face_at) - pre[f]
+        cut = [0] * nf
+        for (u, v), x in label.items():
+            cut[face_of[(u, v)]] ^= x
+            cut[face_of[(v, u)]] ^= x
+        for f in reversed(face_at):
+            if up[f] is not None:
+                cut[up[f]] ^= cut[f]
+        rep = [pre[face_of[(v, rot[0])]] if rot else pre[g.outer_face]
+               for v, rot in enumerate(g.rotation)]
+        vert_at = sorted(range(g.n), key=lambda v: (rep[v], v))
+        vpos = [0] * g.n
+        for i, v in enumerate(vert_at):
+            vpos[v] = i
+        vstart = [0] * (nf + 1)
+        for r in rep:
+            vstart[r + 1] += 1
+        for i in range(nf):
+            vstart[i + 1] += vstart[i]
+        self.pre, self.size, self.face_at = pre, size, face_at
+        self.child, self.label, self.cut = child, label, cut
+        self.vpos, self.vert_at, self.vstart = vpos, vert_at, vstart
+        self.all_vertices = (1 << g.n) - 1
+
+    def faces(self, mask: int) -> frozenset:
+        """The face ids of a face mask."""
+        return frozenset(self.face_at[i] for i in mask_members(mask))
+
+    def vertices(self, mask: int) -> frozenset:
+        """The vertex ids of a vertex mask."""
+        return frozenset(self.vert_at[i] for i in mask_members(mask))
+
+
 @dataclass(frozen=True)
 class RegionPartition:
-    """The three-way vertex split induced by a cycle, plus the faces
-    inside it."""
+    """The split of the graph by a cycle, as bitmasks: the faces inside
+    it (bit ``tree.pre[f]`` for face f) and the interior, exterior and
+    boundary vertices (bit ``tree.vpos[v]`` for vertex v).
 
-    interior: frozenset
-    exterior: frozenset
-    boundary: frozenset
-    faces: frozenset
+    ``faces``, ``interior``, ``exterior`` and ``boundary`` are the same
+    sets as frozensets of face and vertex ids, built on first use.
+    """
+
+    cycle: Cycle
+    face_mask: int
+    interior_mask: int
+    exterior_mask: int
+    boundary_mask: int
+    tree: DualTree = field(repr=False, compare=False)
+
+    @cached_property
+    def faces(self) -> frozenset:
+        return self.tree.faces(self.face_mask)
+
+    @cached_property
+    def interior(self) -> frozenset:
+        return self.tree.vertices(self.interior_mask)
+
+    @cached_property
+    def exterior(self) -> frozenset:
+        return self.tree.vertices(self.exterior_mask)
+
+    @cached_property
+    def boundary(self) -> frozenset:
+        return frozenset(self.cycle)
 
 
 def region_partition(g: PlaneGraph, cycle: Sequence[int]) -> RegionPartition:
     """Split the graph by a cycle: its interior faces and the interior,
-    exterior and boundary vertices.
+    exterior and boundary vertices, as bitmasks over the numberings of
+    ``g.dual_tree``.
 
-    One dual search from the outer face, never crossing a cycle edge,
-    reaches the exterior faces; the rest are inside.  The vertices on
-    exterior faces, less the cycle, are the exterior, and the remaining
-    non-cycle vertices the interior.  Guards, once per cycle: some face
-    is inside, each cycle edge has exactly one of its two faces inside,
-    and no edge joins the interior to the exterior.  Memoized per graph
-    and cycle once the guards passed.
+    A face lies inside C iff its tree path from the outer face crosses
+    C an odd number of times.  A tree edge is crossed on exactly the
+    paths into its subtree, so the interior faces are the XOR of the
+    subtree intervals of the tree edges dual to C's edges: O(|C|)
+    big-int operations, no search.  A vertex off C has all its faces on
+    one side (shown below), so it is inside iff the face it is numbered
+    by is: the interior is the same XOR over vertex intervals, less C.
+
+    Guards, once per cycle: some face is inside; each cycle edge has
+    exactly one of its two faces inside; and no edge joins the interior
+    to the exterior.  The last is checked as a cut condition on the
+    dual: the dual edges leaving the interior faces F are exactly C's.
+    Tree edges leave F iff they are C's, by construction; a non-tree
+    edge leaves F iff its tree cycle holds an odd number of C's tree
+    edges, that is iff it is in the cut of an odd number of their
+    subtrees.  So the XOR of ``cut`` over C's tree edges is the XOR of
+    the labels of the non-tree edges leaving F, and it must equal the
+    XOR of the labels of C's own non-tree edges.  Equal edge sets give
+    equal XORs; for different ones, the labels of their difference would
+    have to XOR to zero, which random 64-bit labels do with probability
+    2^-64.  A failed check scans the edges for one that leaves F.
+
+    The cut condition implies the guard on a valid face structure,
+    where the faces around a vertex x are consecutive across the edges
+    at x: if x is off C, none of those edges is C's, so no step around
+    x leaves F, and all faces of x lie on one side.  An edge x-y with x,
+    y off C lies on a face of both, which puts x and y on the same side.
+
+    Memoized per graph and cycle once the guards passed.
     """
     c = validate_cycle(g, cycle)
     parts = g._regions.get(c)
     if parts is not None:
         return parts
+    t = g.dual_tree
     edges = list(zip(c, c[1:] + c[:1]))
-    blocked = set(edges) | {(v, u) for u, v in edges}
-    face_of = g.face_of_dart
-    reached = {g.outer_face}
-    stack = [g.outer_face]
-    outside = set()
-    while stack:
-        walk = g.faces[stack.pop()]
-        outside.update(walk)
-        for dart in zip(walk[1:] + walk[:1], walk):   # reversed face darts
-            if dart in blocked:
-                continue
-            other = face_of[dart]
-            if other not in reached:
-                reached.add(other)
-                stack.append(other)
-    faces = frozenset(range(len(g.faces))) - reached
+    faces = verts = cut = off_tree = 0
+    for u, v in edges:
+        e = _edge(u, v)
+        q = t.child.get(e)
+        if q is None:
+            off_tree ^= t.label[e]
+            continue
+        lo = t.pre[q]
+        hi = lo + t.size[q]
+        faces ^= (1 << hi) - (1 << lo)
+        verts ^= (1 << t.vstart[hi]) - (1 << t.vstart[lo])
+        cut ^= t.cut[q]
     if not faces:
         raise FalsificationError(
             "cycle has no interior face; face structure is inconsistent")
+    face_of = g.face_of_dart
+
+    def inside(u, v) -> int:
+        return faces >> t.pre[face_of[(u, v)]] & 1
+
     for u, v in edges:
-        if (face_of[(u, v)] in faces) == (face_of[(v, u)] in faces):
+        if inside(u, v) == inside(v, u):
             raise FalsificationError(
                 f"cycle edge {g.label(u)}-{g.label(v)} does not separate "
                 "the cycle's interior from its exterior")
-    boundary = frozenset(c)
-    exterior = frozenset(outside) - boundary
-    interior = frozenset(g.vertices) - boundary - exterior
-    for v in interior:
-        bad = g.neighbor_set(v) & exterior
-        if bad:
-            raise FalsificationError(
-                f"edge joins interior to exterior across cycle: "
-                f"{g.label(v)}-{g.label(next(iter(bad)))}")
+    if cut != off_tree:
+        on_c = {_edge(u, v) for u, v in edges}
+        u, v = next((u, v) for u in g.vertices for v in g.rotation[u]
+                    if _edge(u, v) not in on_c and inside(u, v) != inside(v, u))
+        raise FalsificationError(
+            f"edge joins interior to exterior across cycle: "
+            f"{g.label(u)}-{g.label(v)}")
+    boundary = 0
+    for v in c:
+        boundary |= 1 << t.vpos[v]
+    interior = verts & ~boundary
     parts = g._regions[c] = RegionPartition(
-        interior=interior, exterior=exterior, boundary=boundary, faces=faces)
+        cycle=c, face_mask=faces, interior_mask=interior,
+        exterior_mask=t.all_vertices & ~(interior | boundary),
+        boundary_mask=boundary, tree=t)
     return parts
 
 
@@ -437,8 +610,9 @@ def crosses(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int]) -> bool:
     Cycles whose interiors are nested or disjoint (including pairs that
     share only boundary vertices or edges) do not cross.
     """
-    f1, f2 = interior_faces(g, c1), interior_faces(g, c2)
-    return not (f1.isdisjoint(f2) or f1 <= f2 or f2 <= f1)
+    f1 = region_partition(g, c1).face_mask
+    f2 = region_partition(g, c2).face_mask
+    return bool(f1 & f2 and f1 & ~f2 and f2 & ~f1)
 
 
 # ---------------------------------------------------------------------------
@@ -484,24 +658,35 @@ def enumerate_cycles(g: PlaneGraph, length: int) -> list[Cycle]:
     """All cycles of the given length (4 or 5), once up to rotation and
     reflection, in canonical order.
 
+    A cycle with least vertex s is read as s-a-b, a path b..c of length
+    0 (4-cycles) or 1 (5-cycles), and c-d-s, with a < d: a join of two
+    2-paths from s.
+
     In a triangle-free host every 5-cycle must be chordless; this is
     re-verified on every run.
     """
     if length not in (4, 5):
         raise ValueError("cycle enumeration supports lengths 4 and 5 only")
     out = []
+    nbrs = g.rotation
     for s in g.vertices:
-        # paths s, v1, ..., v_{L-1} with all subsequent vertices > s
-        stack = [(s,)]
-        while stack:
-            path = stack.pop()
-            if len(path) == length:
-                if s in g.neighbor_set(path[-1]) and path[1] < path[-1]:
-                    out.append(tuple(path))
-                continue
-            for w in g.neighbors(path[-1]):
-                if w > s and w not in path:
-                    stack.append(path + (w,))
+        # the 2-paths s-d-c with d, c > s, grouped by their far end c
+        ends: dict = {}
+        for d in nbrs[s]:
+            if d > s:
+                for c in nbrs[d]:
+                    if c > s:
+                        ends.setdefault(c, []).append(d)
+        # join s-a-b to s-d-c (a < d) at b == c, or across an edge b-c
+        for b, starts in ends.items():
+            for c in ((b,) if length == 4 else nbrs[b]):
+                for d in ends.get(c, ()):
+                    if d == b:
+                        continue
+                    for a in starts:
+                        if a < d and a != c:
+                            out.append((s, a, b, d) if length == 4
+                                       else (s, a, b, c, d))
     out.sort()
     if length == 5 and triangle_free(g):
         for c in out:
@@ -538,38 +723,48 @@ def region_graph(g: PlaneGraph, outer: Sequence[int] | None = None,
     inside a hole or outside ``outer`` go, while an edge shared by the
     boundaries of two holes, or of a hole and ``outer``, stays.
     """
-    keep = set(g.vertices)
+    t = g.dual_tree
+    keep = t.all_vertices
     inside = None
+    # the far side of each cycle as a face mask (the outside of ``outer``,
+    # the inside of a hole), and for each cycle vertex the cycles it is on
+    far: list[int] = []
+    rim: dict = {}
     if outer is not None:
         parts = region_partition(g, outer)
-        inside = parts.faces
-        keep = parts.boundary | parts.interior
-    hole_of: dict = {}       # face inside a hole -> index of that hole
-    cut: set = set()
-    for i, h in enumerate(holes):
+        inside = parts.face_mask
+        keep = parts.boundary_mask | parts.interior_mask
+        far.append(~inside)
+        for v in parts.cycle:
+            rim[v] = [0]
+    covered = 0
+    for h in holes:
         parts = region_partition(g, h)
-        if inside is not None and not parts.faces < inside:
+        faces = parts.face_mask
+        if inside is not None and (faces & ~inside or faces == inside):
             raise ValueError("hole does not lie strictly inside the outer cycle")
-        if not hole_of.keys().isdisjoint(parts.faces):
+        if covered & faces:
             raise ValueError("hole interiors overlap; not an antichain")
-        hole_of.update(dict.fromkeys(parts.faces, i))
-        cut |= parts.interior
-    keep -= cut
+        covered |= faces
+        keep &= ~parts.interior_mask
+        for v in parts.cycle:
+            rim.setdefault(v, []).append(len(far))
+        far.append(faces)
     face_of = g.face_of_dart
-    adj = {}
-    for v in keep:
-        nbrs = []
-        for w in g.rotation[v]:
-            if w not in keep:
-                continue
-            fa, fb = face_of[(v, w)], face_of[(w, v)]
-            if inside is not None and fa not in inside and fb not in inside:
-                continue
-            if fa in hole_of and hole_of[fa] == hole_of.get(fb):
-                continue
-            nbrs.append(w)
-        adj[v] = frozenset(nbrs)
-    return AbstractGraph(adj=adj)
+
+    def dropped(v, w) -> bool:
+        # both faces of an edge can lie on the far side of a cycle only
+        # when both ends are on that cycle
+        a = t.pre[face_of[(v, w)]]
+        b = t.pre[face_of[(w, v)]]
+        return any(far[i] >> a & 1 and far[i] >> b & 1
+                   for i in rim.get(v, ()) if i in rim.get(w, ()))
+
+    kept = t.vertices(keep)
+    return AbstractGraph(adj={
+        v: frozenset(w for w in g.rotation[v]
+                     if w in kept and not dropped(v, w))
+        for v in sorted(kept)})
 
 
 def annulus_subgraph(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int]) -> AbstractGraph:

@@ -12,7 +12,8 @@ containment forest replaced, and ``plane_region`` cuts regions along
 cycles by rebuilding each side as a plane graph with fresh ids, the
 reference of ``plane_graph.region_graph``.  ``dual_search_faces`` and
 ``rescan_partition`` are the interior search and the per-vertex face
-rescan that the one search of ``plane_graph.region_partition`` replaced.
+rescan that the dual-tree parity of ``plane_graph.region_partition``
+replaced.
 """
 
 from __future__ import annotations
@@ -66,26 +67,15 @@ def scan_triangle(g) -> bool:
 
 
 def scan_cycles(g, length: int) -> set:
-    """All cycles of a given length as frozensets of their edges."""
-    verts = list(g.vertices)
-    adj = {v: set(g.neighbors(v)) for v in verts}
-    found = set()
-    for combo in combinations(verts, length):
-        for perm in _cyclic_orders(combo):
-            if all(perm[i + 1] in adj[perm[i]] for i in range(length - 1)) \
-                    and perm[0] in adj[perm[-1]]:
-                found.add(frozenset(
-                    frozenset((perm[i], perm[(i + 1) % length]))
-                    for i in range(length)))
-    return found
-
-
-def _cyclic_orders(combo):
-    first = combo[0]
-    rest = combo[1:]
-    from itertools import permutations
-    for perm in permutations(rest):
-        yield (first,) + perm
+    """All cycles of a given length as frozensets of their edges: every
+    sequence of distinct vertices, each adjacent to the next and the
+    last to the first, grown one vertex at a time."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    walks = [(v,) for v in g.vertices]
+    for _ in range(length - 1):
+        walks = [w + (x,) for w in walks for x in adj[w[-1]] if x not in w]
+    return {frozenset(frozenset((w[i], w[(i + 1) % length])) for i in range(length))
+            for w in walks if w[0] in adj[w[-1]]}
 
 
 def special_vertex_by_definition(cycle, coloring):

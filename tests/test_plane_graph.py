@@ -255,13 +255,21 @@ _TOWERS = st.one_of(
 
 def _check_partition(g):
     """Every 5-cycle, facial cycle and one- or two-face cycle of ``g``
-    against the dual search and the vertex rescan."""
+    against the dual search and the vertex rescan, as id sets and as
+    masks over the dual tree's numberings."""
+    t = g.dual_tree
     small = small_cycles(g)
     for c in {*enumerate_cycles(g, 5), *g.facial_cycles, *(c for c, _ in small)}:
         parts = region_partition(g, c)
-        assert parts.faces == dual_search_faces(g, c) == interior_faces(g, c)
+        faces = dual_search_faces(g, c)
+        assert parts.faces == faces == interior_faces(g, c)
+        interior, exterior, boundary = rescan_partition(g, c)
         assert (parts.interior, parts.exterior, parts.boundary) == \
-            rescan_partition(g, c)
+            (interior, exterior, boundary)
+        assert parts.face_mask == sum(1 << t.pre[f] for f in faces)
+        assert (parts.interior_mask, parts.exterior_mask, parts.boundary_mask) == \
+            tuple(sum(1 << t.vpos[v] for v in vs)
+                  for vs in (interior, exterior, boundary))
     for c, faces in small:
         assert region_partition(g, c).faces == faces
     return len(small)
@@ -277,6 +285,48 @@ def test_region_partition_matches_dual_search_and_rescan(tower):
 def test_region_partition_matches_dual_search_and_rescan_on_corpus(corpus):
     for _, g in corpus:
         _check_partition(g)
+
+
+def _pendant_pentagon(rotation_of_0):
+    """A pentagon with a path 0-5-6 hanging into its inner face: the
+    path's edges are bridges, so their dual edges are self-loops."""
+    return PlaneGraph([f"x{i}" for i in range(7)],
+                      [rotation_of_0, [2, 0], [3, 1], [4, 2], [0, 3], [0, 6], [5]],
+                      outer_walk=[0, 1, 2, 3, 4])
+
+
+def _bowtie():
+    """Two pentagons joined at the cut vertex 0."""
+    return PlaneGraph([f"y{i}" for i in range(9)],
+                      [[1, 4, 5, 8], [2, 0], [3, 1], [4, 2], [0, 3],
+                       [6, 0], [7, 5], [8, 6], [0, 7]],
+                      outer_walk=[0, 1, 2, 3, 4, 0, 5, 6, 7, 8])
+
+
+def _quad_outer_tower():
+    """Tower 3 redrawn with a quadrilateral as its outer face."""
+    data = pentagon_tower(3).to_json_dict()
+    data["outer_face"] = ["v1.0", "v2.0", "v2.1", "v1.1"]
+    return load_plane_graph(data)
+
+
+def test_region_partition_matches_dual_search_on_other_embeddings():
+    for rotation_of_0 in ([1, 5, 4], [1, 4, 5]):
+        g = _pendant_pentagon(rotation_of_0)
+        _check_partition(g)
+        assert region_partition(g, range(5)).interior == {5, 6}
+    assert _pendant_pentagon([1, 4, 5]).outer_face != 0
+    g = _bowtie()
+    _check_partition(g)
+    assert region_partition(g, range(5)).exterior == set(range(5, 9))
+    g = _quad_outer_tower()
+    assert g.outer_face != 0
+    _check_partition(g)
+    # the top pentagon now bounds a single face, as the bottom one does
+    for layer, inside in ((0, 0), (1, 5), (2, 0)):
+        parts = region_partition(g, [g.index(f"v{layer}.{j}") for j in range(5)])
+        assert len(parts.interior) == inside
+        assert len(parts.faces) == (6 if inside else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +436,47 @@ def test_enumerate_cycles_dodecahedron_faces():
     assert set(fives) == set(g.facial_cycles)
 
 
+def _walk_order(edges):
+    """The canonical cycle through a set of undirected edges."""
+    adj: dict = {}
+    for u, v in map(tuple, edges):
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    walk = [min(adj), adj[min(adj)][0]]
+    while len(walk) < len(adj):
+        a, b = adj[walk[-1]]
+        walk.append(b if a == walk[-2] else a)
+    return canonical_cycle(walk)
+
+
+def _check_cycles(g, length):
+    """The enumeration is the sorted list of the scan's cycles."""
+    want = sorted(_walk_order(c) for c in scan_cycles(g, length))
+    assert enumerate_cycles(g, length) == want
+
+
 @pytest.mark.parametrize("length", [4, 5])
-def test_enumerate_cycles_matches_scan(length):
-    g = pentagon_tower(2)
-    got = {frozenset(frozenset((c[i], c[(i + 1) % length]))
-                     for i in range(length))
-           for c in enumerate_cycles(g, length)}
-    assert got == scan_cycles(g, length)
+@settings(max_examples=50, deadline=None)
+@given(_TOWERS)
+def test_enumerate_cycles_matches_scan(length, tower):
+    _check_cycles(tower[0], length)
+
+
+def _wheel(k):
+    """A k-cycle with a hub joined to all of it: triangles everywhere."""
+    rotation = [[(i + 1) % k, k, (i - 1) % k] for i in range(k)] + [list(range(k))]
+    return PlaneGraph([f"w{i}" for i in range(k + 1)], rotation,
+                      outer_walk=list(range(k)))
+
+
+def test_enumerate_cycles_matches_scan_on_corpus(corpus):
+    graphs = [g for _, g in corpus] + [
+        _pendant_pentagon([1, 5, 4]), _bowtie(), _quad_outer_tower(),
+        interleaved_pentagons(), nested_pairs_graph(), chorded_pentagon(),
+        _wheel(3), _wheel(5), _wheel(6)]
+    for g in graphs:
+        for length in (4, 5):
+            _check_cycles(g, length)
 
 
 def test_shared_path_has_exactly_two_five_cycles():
@@ -496,6 +580,64 @@ def test_interiors_and_forest_guard_cycle_sides(monkeypatch):
             interior_faces(g, pents[layer])
         with pytest.raises(FalsificationError, match="does not separate"):
             containment_forest(g, pents)
+
+
+def _face_of_cycle(g, cycle):
+    return next(f for f, walk in enumerate(g.faces) if set(walk) == set(cycle))
+
+
+def test_region_partition_guards_empty_interior(monkeypatch):
+    # the inner face loses all its dual edges: the dual tree never
+    # reaches it from the outer face, no tree edge is dual to the inner
+    # pentagon, and the interior comes out empty
+    g = pentagon_tower(2)
+    inner = tuple(g.index(f"v0.{j}") for j in range(5))
+    face = _face_of_cycle(g, inner)
+    for u, v in zip(inner, inner[1:] + inner[:1]):
+        for a, b in ((u, v), (v, u)):
+            if g.face_of_dart[(a, b)] == face:
+                monkeypatch.setitem(g.face_of_dart, (a, b), g.face_of_dart[(b, a)])
+    with pytest.raises(FalsificationError, match="no interior face"):
+        region_partition(g, inner)
+    with pytest.raises(FalsificationError, match="no interior face"):
+        extract(g, 213)
+
+
+def _tower_with_spoke_moved_inside(monkeypatch, j):
+    """Tower 2 and its pentagons, with one dart of the spoke v0.j-v1.j
+    moved onto the face inside the inner pentagon."""
+    g = pentagon_tower(2)
+    pents = [tuple(g.index(f"v{i}.{k}") for k in range(5)) for i in range(2)]
+    monkeypatch.setitem(g.face_of_dart, (pents[0][j], pents[1][j]),
+                        _face_of_cycle(g, pents[0]))
+    return g, pents
+
+
+def test_region_partition_guards_edges_across_the_cycle(monkeypatch):
+    # the moved spoke joins the inside of the inner pentagon to its
+    # outside although it is no edge of the pentagon
+    for j in range(5):
+        g, pents = _tower_with_spoke_moved_inside(monkeypatch, j)
+        with pytest.raises(FalsificationError,
+                           match=f"joins interior to exterior.*v0.{j}-v1.{j}"):
+            region_partition(g, pents[0])
+    g, pents = _tower_with_spoke_moved_inside(monkeypatch, 0)
+    with pytest.raises(FalsificationError, match="joins interior to exterior"):
+        region_graph(g, None, [pents[0]])
+    g, pents = _tower_with_spoke_moved_inside(monkeypatch, 0)
+    with pytest.raises(FalsificationError, match="joins interior to exterior"):
+        containment_forest(g, pents)
+
+
+def test_enumerate_cycles_guards_chords(monkeypatch):
+    # a 5-cycle with a chord can only be met when the triangle check is
+    # wrong; forcing it reaches the chord guard
+    from threecolor import plane_graph
+    g = chorded_pentagon()
+    assert enumerate_cycles(g, 5) == [(0, 1, 2, 3, 4)]
+    monkeypatch.setattr(plane_graph, "triangle_free", lambda g: True)
+    with pytest.raises(FalsificationError, match="has a chord"):
+        enumerate_cycles(g, 5)
 
 
 def test_annulus_excludes_chord_drawn_inside_inner_cycle():
