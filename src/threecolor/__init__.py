@@ -41,9 +41,8 @@ from .coloring import (
 )
 from .errors import BudgetExceededError, FalsificationError, GraphFormatError
 from .generators import (
-    GeneratorSpec,
+    FAMILIES,
     dodecahedron,
-    from_spec,
     garden_pentagons,
     pentagon_garden,
     pentagon_tower,
@@ -68,7 +67,6 @@ from .plane_graph import (
     canonical_cycle,
     crosses,
     enumerate_cycles,
-    interior_faces,
     is_triangle_free,
     load_plane_graph,
     low_degree_set,

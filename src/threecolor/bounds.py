@@ -25,7 +25,7 @@ from typing import Sequence
 from .coloring import DEFAULT_BUDGET, count_3_colorings_detailed
 from .errors import BudgetExceededError
 from .laminar import CycleFamily, dilworth_decompose, extract
-from .plane_graph import PlaneGraph, region_partition, triangle_free
+from .plane_graph import PlaneGraph, region_partition
 from .transition import compose, transition_matrix
 
 DEFAULT_K = 213
@@ -179,7 +179,7 @@ def _chain_total(g: PlaneGraph, chain: Sequence, budget: int,
 def verify(g: PlaneGraph, k: int = DEFAULT_K, budget: int = DEFAULT_BUDGET,
            graph_name: str = "graph") -> BoundReport:
     """Count exactly and evaluate every applicable lower bound."""
-    if not triangle_free(g):
+    if not g.triangle_free:
         raise ValueError("bound verification requires a triangle-free graph")
     res = count_3_colorings_detailed(g, budget=budget)
     count = res.count
@@ -220,13 +220,3 @@ def verify(g: PlaneGraph, k: int = DEFAULT_K, budget: int = DEFAULT_BUDGET,
         matrix_check=matrix_check,
     )
 
-
-def verify_with_budget_guard(g: PlaneGraph, **kwargs) -> BoundReport:
-    """Like :func:`verify` but attaches a partial report to budget errors."""
-    try:
-        return verify(g, **kwargs)
-    except BudgetExceededError as exc:
-        name = kwargs.get("graph_name", "graph")
-        exc.partial_report = {"graph": name, "n": g.n,
-                              "error": "budget", "budget": exc.budget}
-        raise

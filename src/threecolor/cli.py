@@ -16,10 +16,10 @@ import random
 import sys
 
 from . import __version__
-from .bounds import DEFAULT_K, verify_with_budget_guard
+from .bounds import DEFAULT_K, verify
 from .coloring import DEFAULT_BUDGET, count_3_colorings_detailed
 from .errors import BudgetExceededError, GraphFormatError
-from .generators import GeneratorSpec, from_spec
+from .generators import FAMILIES
 from .laminar import extract, dilworth_decompose
 from .plane_graph import load_plane_graph, plane_graph_to_json, validate_cycle
 # ``is_doubling`` stays importable from here: perfbench/tracing.py counts
@@ -45,6 +45,12 @@ def _emit(data: dict, as_json: bool, human: str | None = None):
         print(human if human is not None else json.dumps(data, sort_keys=True))
 
 
+def _budget_exhausted(exc: BudgetExceededError, record: dict) -> int:
+    print(json.dumps(record, sort_keys=True))
+    print(f"budget exhausted: {exc}", file=sys.stderr)
+    return EXIT_BUDGET
+
+
 def _at_least_one(value: int, flag: str):
     if value < 1:
         raise GraphFormatError({"error": "bad_argument",
@@ -52,10 +58,8 @@ def _at_least_one(value: int, flag: str):
 
 
 def _cmd_generate(args) -> int:
-    spec = GeneratorSpec(family=args.family, k=args.k, seed=args.seed,
-                         ops=args.ops)
     try:
-        g = from_spec(spec)
+        g = FAMILIES[args.family](args.k, args.seed, args.ops)
     except ValueError as exc:
         raise GraphFormatError({"error": "bad_argument", "detail": str(exc)})
     text = plane_graph_to_json(g)
@@ -170,11 +174,13 @@ def _cmd_verify_bounds(args) -> int:
     for path in args.graphs:
         g = load_plane_graph(path)
         try:
-            report = verify_with_budget_guard(
-                g, k=args.k, budget=args.budget, graph_name=path)
+            report = verify(g, k=args.k, budget=args.budget, graph_name=path)
         except ValueError as exc:
             raise GraphFormatError({"error": "bad_input", "path": path,
                                     "detail": str(exc)})
+        except BudgetExceededError as exc:
+            return _budget_exhausted(exc, {"budget": args.budget, "error": "budget",
+                                           "graph": path, "n": g.n})
         record = report.to_json_dict()
         status = "PASS" if report.all_pass else "FAIL"
         _emit(record, args.json,
@@ -202,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a corpus graph as JSON")
     p.add_argument("--family", required=True,
-                   choices=["tower", "shared", "dodeca", "garden", "perturbed"])
+                   choices=list(FAMILIES))
     p.add_argument("--k", type=int, default=1, help="height / pentagon count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ops", type=int, default=0,
@@ -270,10 +276,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except BudgetExceededError as exc:
-        record = exc.partial_report or {"error": "budget", "budget": exc.budget}
-        print(json.dumps(record, sort_keys=True))
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _budget_exhausted(exc, {"error": "budget", "budget": exc.budget})
     except MemoryError:
         print(json.dumps({"error": "memory"}))
         print("out of memory", file=sys.stderr)

@@ -112,13 +112,9 @@ def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
         placed = [u for u in placed + [v] if last[u] > p or held.get(u, -1) > p]
         kept = [grown.index(x) for x in tags + placed]
         key = None if kept == list(range(len(grown))) else _picker(kept)
-        if not done:     # the common step, kept lean: no tag, one read or more
-            if len(idx) == 1:
-                steps.append((itemgetter(*idx), lambda seen, ch=choices: tuple(
-                    [(c,) for c in ch if c != seen]), key, len(tags)))
-            else:
-                steps.append((_picker(idx), lambda seen, ch=choices: tuple(
-                    [(c,) for c in ch if c not in seen]), key, len(tags)))
+        if not done:
+            steps.append((_picker(idx), lambda seen, ch=choices: tuple(
+                [(c,) for c in ch if c not in seen]), key, len(tags)))
             continue
         nb = len(idx)
         members = []     # per group: None for v, else a position in ``seen``
@@ -387,6 +383,10 @@ def extends(g: PlaneGraph, cycle: Sequence[int], boundary: Mapping[int, int],
         raise ValueError("extension test requires a cycle of length at most 5")
     if c not in g.facial_cycles:
         raise ValueError("cycle does not bound a face")
+    for v in c:
+        if boundary.get(v) not in (1, 2, 3):
+            raise ValueError(f"boundary gives cycle vertex {g.label(v)} "
+                             "no color in 1..3")
     m = len(c)
     for i in range(m):
         u, v = c[i], c[(i + 1) % m]

@@ -23,9 +23,8 @@ class GraphFormatError(ValueError):
 class BudgetExceededError(RuntimeError):
     """Raised when a counting run exceeds its budget of state updates."""
 
-    def __init__(self, budget: int, partial_report=None):
+    def __init__(self, budget: int):
         self.budget = budget
-        self.partial_report = partial_report
         super().__init__(f"counting budget of {budget} state updates exceeded")
 
 

@@ -24,35 +24,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .plane_graph import PlaneGraph
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Parameters naming one corpus instance."""
-
-    family: str
-    k: int = 1
-    seed: int = 0
-    ops: int = 0
-
-
-def from_spec(spec: GeneratorSpec) -> PlaneGraph:
-    if spec.family == "tower":
-        return pentagon_tower(spec.k)
-    if spec.family == "shared":
-        return shared_path_pentagons()
-    if spec.family == "dodeca":
-        return dodecahedron()
-    if spec.family == "garden":
-        return pentagon_garden(spec.k)
-    if spec.family == "perturbed":
-        return perturbed_tower(spec.k, spec.seed, spec.ops)
-    raise ValueError(f"unknown family {spec.family!r}")
 
 
 def _graph_from_layout(positions: dict, edges, outer_face) -> PlaneGraph:
@@ -275,3 +250,15 @@ def pentagon_garden(k: int) -> PlaneGraph:
 def garden_pentagons(g: PlaneGraph, k: int) -> list[tuple]:
     """The k pentagon cycles of a garden, as vertex-id cycles."""
     return [tuple(g.index(f"p{i}.{j}") for j in range(5)) for i in range(k)]
+
+
+FAMILIES = {
+    "tower": lambda k, seed, ops: pentagon_tower(k),
+    "shared": lambda k, seed, ops: shared_path_pentagons(),
+    "dodeca": lambda k, seed, ops: dodecahedron(),
+    "garden": lambda k, seed, ops: pentagon_garden(k),
+    "perturbed": perturbed_tower,
+}
+"""Each ``threecolor generate`` family name, in the order the CLI lists
+them, mapped to a builder of ``(k, seed, ops)`` that ignores the
+arguments its family does not use."""

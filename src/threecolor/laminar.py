@@ -41,7 +41,6 @@ from .plane_graph import (
     low_degree_set,
     mask_members,
     region_partition,
-    triangle_free,
     validate_cycle,
 )
 
@@ -81,10 +80,8 @@ def extract(g: PlaneGraph, k: int) -> LaminarOutcome:
     call), built by splitting on separating 5-cycles over sets of host
     vertices.
     """
-    if not triangle_free(g):
+    if not g.triangle_free:
         raise ValueError("extraction requires a triangle-free graph")
-    if k < 0:
-        raise ValueError("k must be non-negative")
     dk = low_degree_set(g, k)
     fives = enumerate_cycles(g, 5)
     free = dk.difference(*fives)

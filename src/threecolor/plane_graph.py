@@ -111,9 +111,10 @@ class PlaneGraph:
     symmetry, connectivity, Euler's formula) and raises
     :class:`GraphFormatError` with a machine-readable report otherwise.
 
-    Instances are immutable after construction; all derived structure
-    (faces, interiors, region partitions) is cached and safe to share
-    across threads.
+    Instances are immutable after construction.  Derived structure (the
+    dual tree, facial cycles, triangle-freeness and region partitions)
+    is filled in lazily on first use, without locking, so an instance
+    is not safe to share across threads; the package is single-threaded.
     """
 
     def __init__(self, labels: Sequence[str], rotation: Sequence[Sequence[int]],
@@ -248,6 +249,11 @@ class PlaneGraph:
         return DualTree(self)
 
     @cached_property
+    def triangle_free(self) -> bool:
+        """Whether no three vertices are mutually adjacent."""
+        return is_triangle_free(self)
+
+    @cached_property
     def facial_cycles(self) -> tuple[Cycle, ...]:
         """Canonical forms of the face walks that are simple cycles."""
         return tuple(canonical_cycle(walk) for walk in self.faces
@@ -374,11 +380,6 @@ def validate_cycle(g: PlaneGraph, seq: Sequence[int]) -> Cycle:
             raise ValueError(
                 f"not a cycle of the graph: {g.label(u)}-{g.label(v)} is not an edge")
     return c
-
-
-def interior_faces(g: PlaneGraph, cycle: Sequence[int]) -> frozenset:
-    """Faces inside the cycle: ``region_partition(g, cycle).faces``."""
-    return region_partition(g, cycle).faces
 
 
 def mask_members(mask: int) -> list[int]:
@@ -688,7 +689,7 @@ def enumerate_cycles(g: PlaneGraph, length: int) -> list[Cycle]:
                             out.append((s, a, b, d) if length == 4
                                        else (s, a, b, c, d))
     out.sort()
-    if length == 5 and triangle_free(g):
+    if length == 5 and g.triangle_free:
         for c in out:
             cset = set(c)
             chords = sum(1 for u in c for w in g.neighbor_set(u) & cset) // 2
@@ -697,15 +698,6 @@ def enumerate_cycles(g: PlaneGraph, length: int) -> list[Cycle]:
                     f"5-cycle {[g.label(v) for v in c]} has a chord in a "
                     "triangle-free graph")
     return out
-
-
-def triangle_free(g: PlaneGraph) -> bool:
-    """Cached triangle-freeness for plane graphs."""
-    flag = g.__dict__.get("_triangle_free")
-    if flag is None:
-        flag = is_triangle_free(g)
-        g.__dict__["_triangle_free"] = flag
-    return flag
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,14 @@ class TransitionMatrix:
 
 
 def _entries(m) -> Matrix:
+    """The entries of a matrix as a tuple of row tuples, checked to be a
+    5x5 array of non-negative ``int`` (not ``bool``) values."""
     e = m.entries if isinstance(m, TransitionMatrix) else m
-    rows = tuple(tuple(int(x) for x in row) for row in e)
+    rows = tuple(tuple(row) for row in e)
     if len(rows) != 5 or any(len(r) != 5 for r in rows):
         raise ValueError("expected a 5x5 matrix")
+    if any(type(x) is not int for r in rows for x in r):
+        raise ValueError("matrix entries must be integers")
     if any(x < 0 for r in rows for x in r):
         raise ValueError("matrix entries must be non-negative")
     return rows
@@ -167,7 +171,10 @@ def potential(x: Sequence[int]) -> int:
 
 def apply_row(x: Sequence[int], m) -> tuple:
     """Row vector times matrix, exactly."""
-    e = _entries(m)
+    return _times(x, _entries(m))
+
+
+def _times(x: Sequence[int], e: Matrix) -> tuple:
     return tuple(sum(x[i] * e[i][j] for i in range(5)) for j in range(5))
 
 
@@ -291,7 +298,7 @@ def verify_product_bound(ms: Sequence, kinds: Sequence[str] | None = None) -> Pr
     pot = potential(x)
     first_violation = None
     for step, (m, kind) in enumerate(zip(mats, kinds)):
-        x = apply_row(x, m)
+        x = _times(x, m)
         new_pot = potential(x)
         if "doubling" in kind or kind == "both":
             ok = new_pot >= 10 * pot

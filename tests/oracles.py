@@ -27,7 +27,6 @@ from threecolor import (
     canonical_cycle,
     count_with_boundary,
     enumerate_cycles,
-    interior_faces,
     is_triangle_free,
     low_degree_set,
     region_partition,
@@ -121,7 +120,7 @@ def pattern_transition_entries(g, c1, c2):
 def pairwise_laminar(g, family) -> bool:
     """True iff no two cycles of the family have properly overlapping
     interiors, by comparing every pair of interior face sets."""
-    regions = [interior_faces(g, c) for c in family]
+    regions = [region_partition(g, c).faces for c in family]
     for i, f1 in enumerate(regions):
         for f2 in regions[i + 1:]:
             if not (f1.isdisjoint(f2) or f1 <= f2 or f2 <= f1):
@@ -226,7 +225,7 @@ def _outside_dart(g, cycle, inside):
 def interior_subgraph(g, cycle) -> PlaneGraph:
     """The cycle plus everything inside it; the cycle becomes the outer face."""
     c = validate_cycle(g, cycle)
-    ins = interior_faces(g, c)
+    ins = region_partition(g, c).faces
     keep = set(c) | region_partition(g, c).interior
 
     def drop(u, v):
@@ -240,7 +239,7 @@ def interior_subgraph(g, cycle) -> PlaneGraph:
 def exterior_subgraph(g, cycle) -> PlaneGraph:
     """The cycle plus everything outside it; keeps the original outer face."""
     c = validate_cycle(g, cycle)
-    ins = interior_faces(g, c)
+    ins = region_partition(g, c).faces
     keep = set(c) | region_partition(g, c).exterior
 
     def drop(u, v):

@@ -15,7 +15,7 @@ from threecolor import (
     pentagon_tower,
     verify,
 )
-from threecolor.bounds import chain_matrix_total, verify_with_budget_guard
+from threecolor.bounds import chain_matrix_total
 from threecolor.generators import garden_pentagons
 
 from builders import cycle_graph
@@ -119,14 +119,6 @@ def test_verify_rejects_triangles():
     from builders import chorded_pentagon
     with pytest.raises(ValueError):
         verify(chorded_pentagon())
-
-
-def test_verify_budget_guard_attaches_partial_report():
-    with pytest.raises(BudgetExceededError) as exc:
-        verify_with_budget_guard(pentagon_tower(4), budget=100,
-                                 graph_name="tower4")
-    assert exc.value.partial_report["error"] == "budget"
-    assert exc.value.partial_report["graph"] == "tower4"
 
 
 def test_verify_budget_covers_count_and_layer_sweeps():

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 import threecolor
 from threecolor import (
+    FAMILIES,
     count_3_colorings,
     load_plane_graph,
     pentagon_tower,
     plane_graph_to_json,
+    verify,
 )
 from threecolor.cli import main
 
@@ -238,6 +240,33 @@ def test_budget_exit_code(tmp_path, capsys):
     assert json.loads(stdout.splitlines()[0])["graph"] == str(tower)
 
 
+def test_verify_bounds_budget_record(tmp_path, capsys):
+    # tower 4's count spends 310 updates and its whole run 700, so 320
+    # runs out in a layer sweep; the record still carries the given budget
+    t2, t4 = tmp_path / "t2.json", tmp_path / "t4.json"
+    t2.write_text(plane_graph_to_json(pentagon_tower(2)))
+    t4.write_text(plane_graph_to_json(pentagon_tower(4)))
+    code, stdout, err = run_cli(capsys, "verify-bounds", str(t2), str(t4),
+                                "--budget", "320", "--json")
+    assert code == 3
+    first, last = stdout.splitlines()
+    report = verify(pentagon_tower(2), budget=320, graph_name=str(t2))
+    assert first == json.dumps(report.to_json_dict(), sort_keys=True)
+    assert last == json.dumps({"budget": 320, "error": "budget",
+                               "graph": str(t4), "n": 20})
+    assert err == ("budget exhausted: counting budget of 320 state updates "
+                   "exceeded\n")
+
+
+def test_generate_writes_each_family(tmp_path, capsys):
+    for name, build in FAMILIES.items():
+        out = tmp_path / f"{name}.json"
+        code, _, _ = run_cli(capsys, "generate", "--family", name, "--k", "3",
+                             "--seed", "1", "--ops", "2", "--out", str(out))
+        assert code == 0
+        assert out.read_text() == plane_graph_to_json(build(3, 1, 2)), name
+
+
 def test_bound_failure_exit_code(monkeypatch, tmp_path, capsys):
     # genuine bound failures cannot occur on valid inputs, so force one
     import threecolor.cli as cli_mod
@@ -252,7 +281,7 @@ def test_bound_failure_exit_code(monkeypatch, tmp_path, capsys):
             chain=None, antichain=None, chain_pass=None,
             antichain_pass=None, sizes_pass=None, matrix_check=None)
 
-    monkeypatch.setattr(cli_mod, "verify_with_budget_guard", fake_verify)
+    monkeypatch.setattr(cli_mod, "verify", fake_verify)
     tower = tmp_path / "t.json"
     run_cli(capsys, "generate", "--family", "tower", "--k", "2", "--out", str(tower))
     code, stdout, _ = run_cli(capsys, "verify-bounds", str(tower), "--json")

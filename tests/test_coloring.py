@@ -325,6 +325,18 @@ def test_extension_negative_control():
     assert extends(g, cyc, fine) is True
 
 
+def test_extends_rejects_missing_or_non_color_boundary():
+    g = cycle_graph(5)
+    cyc = (0, 1, 2, 3, 4)
+    with pytest.raises(ValueError, match="vertex c0 no color"):
+        extends(g, cyc, {})
+    for bad in ("x", 0, 4, None):
+        boundary = dict(zip(cyc, (1, 2, 1, 2, 3)))
+        boundary[3] = bad
+        with pytest.raises(ValueError, match="vertex c3 no color"):
+            extends(g, cyc, boundary)
+
+
 def test_extends_rejects_non_facial_cycle():
     g = pentagon_tower(3)
     middle = tuple(g.index(f"v1.{j}") for j in range(5))

@@ -3,11 +3,10 @@ import json
 import pytest
 
 from threecolor import (
-    GeneratorSpec,
+    FAMILIES,
     count_3_colorings,
     dodecahedron,
     enumerate_cycles,
-    from_spec,
     is_triangle_free,
     load_plane_graph,
     pentagon_garden,
@@ -120,14 +119,14 @@ def test_perturbed_triangle_free_for_many_seeds():
         assert is_triangle_free(g)
 
 
-def test_from_spec_dispatch():
-    assert from_spec(GeneratorSpec(family="tower", k=2)).n == 10
-    assert from_spec(GeneratorSpec(family="shared")).n == 6
-    assert from_spec(GeneratorSpec(family="dodeca")).n == 20
-    assert from_spec(GeneratorSpec(family="garden", k=2)).n == 16
-    assert from_spec(GeneratorSpec(family="perturbed", k=3, seed=1, ops=1)).n >= 15
-    with pytest.raises(ValueError):
-        from_spec(GeneratorSpec(family="moebius"))
+def test_families_dispatch():
+    # the CLI lists the families in this order in --help and its errors
+    assert list(FAMILIES) == ["tower", "shared", "dodeca", "garden", "perturbed"]
+    assert FAMILIES["tower"](2, 0, 0).n == 10
+    assert FAMILIES["shared"](1, 0, 0).n == 6
+    assert FAMILIES["dodeca"](1, 0, 0).n == 20
+    assert FAMILIES["garden"](2, 0, 0).n == 16
+    assert FAMILIES["perturbed"](3, 1, 1).n >= 15
 
 
 def test_generator_rejects_bad_parameters():

@@ -13,12 +13,12 @@ from threecolor import (
     dodecahedron,
     enumerate_cycles,
     extract,
-    interior_faces,
     is_laminar,
     low_degree_set,
     pentagon_garden,
     pentagon_tower,
     perturbed_tower,
+    region_partition,
     tower_pentagons,
 )
 
@@ -194,7 +194,7 @@ def _brute_forest(g, family):
     """Parent, depth and children of each cycle, and the size of a
     maximum antichain, straight from the interior face sets."""
     cycles = sorted({canonical_cycle(c) for c in family})
-    inside = {c: interior_faces(g, c) for c in cycles}
+    inside = {c: region_partition(g, c).faces for c in cycles}
     above = {c: [d for d in cycles if inside[c] < inside[d]] for c in cycles}
     parent = {c: min(above[c], key=lambda d: len(inside[d]), default=None)
               for c in cycles}
@@ -225,7 +225,7 @@ def _check_against_oracles(g, family):
     assert forest.roots == tuple(c for c in sorted(parent) if parent[c] is None)
     anti = forest.max_antichain()
     assert len(anti) == widest
-    assert all(not (interior_faces(g, c) & interior_faces(g, d))
+    assert all(not (region_partition(g, c).faces & region_partition(g, d).faces)
                for c in anti for d in anti if c != d)
     chain, anti_family = dilworth_decompose(g, family)
     assert len(chain) == max(depth.values())
@@ -237,7 +237,7 @@ def test_pairs_sharing_one_face_cross():
         cycles = small_cycles(g)
         crossing = 0
         for i, (a, fa) in enumerate(cycles):
-            assert interior_faces(g, a) == fa
+            assert region_partition(g, a).faces == fa
             for b, fb in cycles[i + 1:]:
                 crosses = len(fa & fb) == 1 and len(fa | fb) == 3
                 crossing += crosses
@@ -362,14 +362,13 @@ def test_dilworth_product_guarantee_on_extracted_families(corpus):
 
 
 def test_chain_is_totally_ordered_antichain_disjoint():
-    from threecolor import interior_faces
     g = dodecahedron()
     out = extract(g, 3)
     chain, anti = dilworth_decompose(g, out.family)
-    regions = [interior_faces(g, c) for c in chain]
+    regions = [region_partition(g, c).faces for c in chain]
     for a, b in zip(regions, regions[1:]):
         assert b < a
-    anti_regions = [interior_faces(g, c) for c in anti]
+    anti_regions = [region_partition(g, c).faces for c in anti]
     for i, ra in enumerate(anti_regions):
         for rb in anti_regions[i + 1:]:
             assert not (ra & rb)

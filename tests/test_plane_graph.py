@@ -17,7 +17,6 @@ from threecolor import (
     dodecahedron,
     enumerate_cycles,
     extract,
-    interior_faces,
     is_laminar,
     is_triangle_free,
     load_coloring,
@@ -262,7 +261,7 @@ def _check_partition(g):
     for c in {*enumerate_cycles(g, 5), *g.facial_cycles, *(c for c, _ in small)}:
         parts = region_partition(g, c)
         faces = dual_search_faces(g, c)
-        assert parts.faces == faces == interior_faces(g, c)
+        assert parts.faces == faces == region_partition(g, c).faces
         interior, exterior, boundary = rescan_partition(g, c)
         assert (parts.interior, parts.exterior, parts.boundary) == \
             (interior, exterior, boundary)
@@ -347,7 +346,7 @@ def test_nested_pentagons_do_not_cross():
     outer = [g.index(f"v1.{j}") for j in range(5)]
     assert not crosses(g, inner, outer)
     assert is_laminar(g, [inner, outer])
-    assert interior_faces(g, inner) < interior_faces(g, outer)
+    assert region_partition(g, inner).faces < region_partition(g, outer).faces
 
 
 def test_interleaved_pentagons_cross():
@@ -577,7 +576,7 @@ def test_interiors_and_forest_guard_cycle_sides(monkeypatch):
     for layer in (0, 1):
         g, pents = _tower_with_unseparating_edge(monkeypatch, layer)
         with pytest.raises(FalsificationError, match="does not separate"):
-            interior_faces(g, pents[layer])
+            region_partition(g, pents[layer]).faces
         with pytest.raises(FalsificationError, match="does not separate"):
             containment_forest(g, pents)
 
@@ -632,10 +631,9 @@ def test_region_partition_guards_edges_across_the_cycle(monkeypatch):
 def test_enumerate_cycles_guards_chords(monkeypatch):
     # a 5-cycle with a chord can only be met when the triangle check is
     # wrong; forcing it reaches the chord guard
-    from threecolor import plane_graph
     g = chorded_pentagon()
     assert enumerate_cycles(g, 5) == [(0, 1, 2, 3, 4)]
-    monkeypatch.setattr(plane_graph, "triangle_free", lambda g: True)
+    monkeypatch.setattr(g, "triangle_free", True)
     with pytest.raises(FalsificationError, match="has a chord"):
         enumerate_cycles(g, 5)
 
@@ -728,11 +726,11 @@ def test_region_graph_matches_rebuilt_cut(tower, data):
                   | {canonical_cycle(c) for c in tower_pentagons(g, height)})
     holes, covered = [], set()
     for c in data.draw(st.lists(st.sampled_from(pool), max_size=6, unique=True)):
-        if covered.isdisjoint(interior_faces(g, c)):
+        if covered.isdisjoint(region_partition(g, c).faces):
             holes.append(c)
-            covered |= interior_faces(g, c)
+            covered |= region_partition(g, c).faces
     outers = [c for c in pool
-              if all(interior_faces(g, h) < interior_faces(g, c) for h in holes)]
+              if all(region_partition(g, h).faces < region_partition(g, c).faces for h in holes)]
     outer = data.draw(st.sampled_from([None] + outers))
     _check_region(g, outer, holes)
 

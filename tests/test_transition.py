@@ -31,7 +31,7 @@ from threecolor import (
 )
 from threecolor.coloring import SPECIAL_POSITION
 from threecolor.plane_graph import annulus_subgraph
-from threecolor.transition import _random_doubling, random_matrix_chain
+from threecolor.transition import _random_doubling, apply_row, random_matrix_chain
 
 from builders import annulus_instances
 from oracles import pattern_transition_entries
@@ -83,6 +83,21 @@ def test_majorizes_entrywise():
     assert majorizes(ALL_ONES, IDENTITY)
     assert not majorizes(IDENTITY, ALL_ONES)
     assert majorizes(IDENTITY, IDENTITY)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", True, False])
+def test_matrix_helpers_reject_non_int_entries(bad):
+    m = tuple(tuple(bad if (i, j) == (2, 3) else 1 for j in range(5))
+              for i in range(5))
+    calls = [lambda: majorizes(m, ALL_ONES), lambda: majorizes(ALL_ONES, m),
+             lambda: dominates(m, IDENTITY), lambda: dominates(IDENTITY, m),
+             lambda: is_dominant(m), lambda: is_doubling(m),
+             lambda: classify(m), lambda: apply_row((1,) * 5, m),
+             lambda: verify_product_bound([m]),
+             lambda: verify_product_bound([ALL_ONES, m], ["both", "dominant"])]
+    for call in calls:
+        with pytest.raises(ValueError, match="entries must be integers"):
+            call()
 
 
 def test_dominates_is_reflexive_on_samples():
