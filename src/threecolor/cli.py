@@ -14,6 +14,7 @@ import json
 import logging
 import random
 import sys
+from functools import cache
 
 from . import __version__
 from .bounds import DEFAULT_K, verify
@@ -45,8 +46,10 @@ def _emit(data: dict, as_json: bool, human: str | None = None):
         print(human if human is not None else json.dumps(data, sort_keys=True))
 
 
-def _budget_exhausted(exc: BudgetExceededError, record: dict) -> int:
-    print(json.dumps(record, sort_keys=True))
+def _budget_exhausted(exc: BudgetExceededError, args, path: str, g) -> int:
+    """Report the budget that ran out and the input it ran out on."""
+    print(json.dumps({"budget": args.budget, "error": "budget", "graph": path,
+                      "n": g.n}, sort_keys=True))
     print(f"budget exhausted: {exc}", file=sys.stderr)
     return EXIT_BUDGET
 
@@ -82,7 +85,10 @@ def _cmd_generate(args) -> int:
 def _cmd_count(args) -> int:
     _at_least_one(args.budget, "--budget")
     g = load_plane_graph(args.graph)
-    res = count_3_colorings_detailed(g, budget=args.budget)
+    try:
+        res = count_3_colorings_detailed(g, budget=args.budget)
+    except BudgetExceededError as exc:
+        return _budget_exhausted(exc, args, args.graph, g)
     record = {"graph": args.graph, "count": res.count, "budget_used": res.nodes}
     _emit(record, args.json,
           f"{args.graph}: {res.count} proper 3-colorings "
@@ -134,6 +140,8 @@ def _cmd_transition(args) -> int:
         m = transition_matrix(g, c1, c2, budget=args.budget)
     except ValueError as exc:
         raise GraphFormatError({"error": "bad_cycle_pair", "detail": str(exc)})
+    except BudgetExceededError as exc:
+        return _budget_exhausted(exc, args, args.graph, g)
     record = matrix_report(m, g)
     rows = "\n".join("  " + " ".join(f"{x:4d}" for x in row)
                      for row in m.entries)
@@ -179,8 +187,7 @@ def _cmd_verify_bounds(args) -> int:
             raise GraphFormatError({"error": "bad_input", "path": path,
                                     "detail": str(exc)})
         except BudgetExceededError as exc:
-            return _budget_exhausted(exc, {"budget": args.budget, "error": "budget",
-                                           "graph": path, "n": g.n})
+            return _budget_exhausted(exc, args, path, g)
         record = report.to_json_dict()
         status = "PASS" if report.all_pass else "FAIL"
         _emit(record, args.json,
@@ -194,7 +201,9 @@ def _cmd_verify_bounds(args) -> int:
 THREADS_HELP = "accepted for compatibility and ignored; counting is single-threaded"
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="threecolor",
         description="Exact 3-coloring counting and lower-bound verification "
@@ -275,8 +284,6 @@ def main(argv=None) -> int:
                          sort_keys=True))
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except BudgetExceededError as exc:
-        return _budget_exhausted(exc, {"error": "budget", "budget": exc.budget})
     except MemoryError:
         print(json.dumps({"error": "memory"}))
         print("out of memory", file=sys.stderr)

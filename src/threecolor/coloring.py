@@ -128,6 +128,23 @@ def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
     return steps
 
 
+def sweep_shape(g, groups: Sequence[tuple]) -> tuple:
+    """Everything a sweep of ``g`` pinning the tagged ``groups`` (with no
+    fixed colors) reads of the graph, in sweep-order positions instead of
+    vertex ids: for each vertex in the sweep order, the positions of its
+    neighbours, then for each group the positions of its members.
+
+    ``_plan`` reads only the order, the neighbour sets and the group
+    members, and the loop of :func:`pinned_counts` reads only the plan,
+    so two sweeps with equal shapes and the same tag visit the same
+    states and return the same counts and the same number of updates.
+    """
+    order = _bfs_order(g)
+    pos = {v: p for p, v in enumerate(order)}
+    return (tuple(tuple(sorted(pos[w] for w in g.neighbors(v))) for v in order),
+            tuple(tuple(pos[v] for v in grp) for grp in groups))
+
+
 def _completing(nb: int, choices: tuple, members: list,
                 tag: Callable) -> Callable:
     """The extensions of a step at which groups complete, for ``seen``

@@ -112,9 +112,10 @@ class PlaneGraph:
     :class:`GraphFormatError` with a machine-readable report otherwise.
 
     Instances are immutable after construction.  Derived structure (the
-    dual tree, facial cycles, triangle-freeness and region partitions)
-    is filled in lazily on first use, without locking, so an instance
-    is not safe to share across threads; the package is single-threaded.
+    dual tree, facial cycles, triangle-freeness, region partitions and
+    transition sweeps) is filled in lazily on first use, without
+    locking, so an instance is not safe to share across threads; the
+    package is single-threaded.
     """
 
     def __init__(self, labels: Sequence[str], rotation: Sequence[Sequence[int]],
@@ -128,6 +129,8 @@ class PlaneGraph:
         self._check_euler()
         self.outer_face = self._resolve_outer(outer_walk)
         self._regions: dict[Cycle, RegionPartition] = {}
+        # sweep shape -> (entries, updates) of transition matrices
+        self._matrices: dict[tuple, tuple] = {}
 
     # -- construction-time checks -----------------------------------------
 

@@ -8,6 +8,19 @@ and the j-th vertex of C2.  Color permutations act freely and preserve
 special vertices, so every raw cell count is divisible by 6; this is
 asserted before dividing.
 
+Each host graph keeps the entries and updates of its matrix sweeps,
+keyed by the annulus's sweep shape (:func:`coloring.sweep_shape`): for
+each vertex in the sweep order, the order positions of its neighbours,
+then the positions of the two pentagons' members in cycle order.  That
+is everything the sweep reads; its tags are special positions and its
+update count depends only on the plan, neither on vertex ids, so an
+annulus of a known shape gets exactly the entries and updates its own
+sweep would give.  A reuse skips only the sweep: both cycles are still
+validated and the annulus still cut with every guard of
+``region_graph``, and the stored updates are charged to the budget,
+which raises exactly where the sweep would have, since a sweep checks
+its growing update count after every step.
+
 All matrix arithmetic is exact integer arithmetic: the product bound
 grows exponentially and the comparisons are done in the integers
 (x**4 * 2**n >= 3**n instead of x >= (3/2)**(n/4)).
@@ -22,9 +35,9 @@ from functools import cache
 from itertools import chain, combinations, permutations, product
 from typing import Sequence
 
-from .coloring import DEFAULT_BUDGET, SPECIAL_POSITION, pinned_counts
-from .errors import FalsificationError
-from .plane_graph import PlaneGraph, annulus_subgraph, validate_cycle
+from .coloring import DEFAULT_BUDGET, SPECIAL_POSITION, pinned_counts, sweep_shape
+from .errors import BudgetExceededError, FalsificationError
+from .plane_graph import Cycle, PlaneGraph, annulus_subgraph, validate_cycle
 
 log = logging.getLogger(__name__)
 
@@ -50,17 +63,22 @@ _PERMS = tuple(permutations(range(5)))
 class TransitionMatrix:
     """A 5x5 non-negative integer matrix with its boundary labelings.
 
-    ``row_labels``/``col_labels`` are the outer/inner cycle vertices in
-    canonical cycle order; entry (i, j) corresponds to special vertices
-    row_labels[i] and col_labels[j].  ``updates`` is the number of state
-    updates of the sweep that computed the matrix (0 for products and
-    hand-made matrices); it takes no part in equality.
+    The entries are checked on construction (see :func:`_entries`) and
+    stored as a tuple of row tuples.  ``row_labels``/``col_labels`` are
+    the outer/inner cycle vertices in canonical cycle order; entry (i, j)
+    corresponds to special vertices row_labels[i] and col_labels[j].
+    ``updates`` is the number of state updates of the sweep that computed
+    the matrix (0 for products and hand-made matrices); it takes no part
+    in equality.
     """
 
     entries: Matrix
     row_labels: tuple
     col_labels: tuple
     updates: int = field(default=0, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", _entries(self.entries))
 
     @property
     def raw_count(self) -> int:
@@ -77,9 +95,14 @@ class TransitionMatrix:
 
 def _entries(m) -> Matrix:
     """The entries of a matrix as a tuple of row tuples, checked to be a
-    5x5 array of non-negative ``int`` (not ``bool``) values."""
-    e = m.entries if isinstance(m, TransitionMatrix) else m
-    rows = tuple(tuple(row) for row in e)
+    5x5 array of non-negative ``int`` (not ``bool``) values; a
+    :class:`TransitionMatrix` was checked when it was built."""
+    if isinstance(m, TransitionMatrix):
+        return m.entries
+    try:
+        rows = tuple(tuple(row) for row in m)
+    except TypeError:       # not a sequence of sequences
+        raise ValueError("expected a 5x5 matrix") from None
     if len(rows) != 5 or any(len(r) != 5 for r in rows):
         raise ValueError("expected a 5x5 matrix")
     if any(type(x) is not int for r in rows for x in r):
@@ -202,15 +225,33 @@ def transition_matrix(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int],
     updates), so it returns the colorings split by the pair of special
     vertices.  Every raw cell is checked to be divisible by 6 before
     division.
+
+    An annulus whose sweep shape ``g`` has swept before reuses that
+    sweep's entries and updates and charges the updates to ``budget``
+    (see the module docstring).
     """
     k1 = validate_cycle(g, c1)
     k2 = validate_cycle(g, c2)
     if len(k1) != 5 or len(k2) != 5:
         raise ValueError("transition matrices are defined between 5-cycles")
     ann = annulus_subgraph(g, k1, k2)
+    shape = sweep_shape(ann, (k1, k2))
+    known = g._matrices.get(shape)
+    if known is None:
+        known = g._matrices[shape] = _sweep(ann, k1, k2, budget)
+    elif known[1] > budget:
+        raise BudgetExceededError(budget)
+    else:
+        log.debug("transition sweep reused: %d updates charged", known[1])
+    entries, updates = known
+    return TransitionMatrix(entries=entries, row_labels=k1, col_labels=k2,
+                            updates=updates)
+
+
+def _sweep(ann, k1: Cycle, k2: Cycle, budget: int) -> tuple:
+    """The entries and updates of one tagged sweep over an annulus."""
     states, updates = pinned_counts(ann, (k1, k2), budget=budget,
                                     tag=_special_position)
-
     raw = [[0] * 5 for _ in range(5)]
     for (i, j), cnt in states.items():
         raw[i][j] += cnt
@@ -220,9 +261,7 @@ def transition_matrix(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int],
                 raise FalsificationError(
                     f"raw special-pair count {raw[i][j]} at ({i}, {j}) is "
                     "not divisible by 6")
-    entries = tuple(tuple(raw[i][j] // 6 for j in range(5)) for i in range(5))
-    return TransitionMatrix(entries=entries, row_labels=k1, col_labels=k2,
-                            updates=updates)
+    return tuple(tuple(raw[i][j] // 6 for j in range(5)) for i in range(5)), updates
 
 
 def compose(ms: Sequence[TransitionMatrix]) -> TransitionMatrix:

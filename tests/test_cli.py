@@ -229,10 +229,19 @@ def test_triangle_input_rejected_by_analyze(tmp_path, capsys):
 def test_budget_exit_code(tmp_path, capsys):
     tower = tmp_path / "t.json"
     run_cli(capsys, "generate", "--family", "tower", "--k", "4", "--out", str(tower))
+    record = json.dumps({"budget": 10, "error": "budget", "graph": str(tower),
+                         "n": 20})
     code, stdout, err = run_cli(capsys, "count", str(tower), "--budget", "10")
     assert code == 3
-    assert json.loads(stdout.splitlines()[0])["error"] == "budget"
+    assert stdout.splitlines() == [record]
     assert "budget" in err
+
+    code, stdout, _ = run_cli(capsys, "transition", str(tower),
+                              "--outer", "v1.0,v1.1,v1.2,v1.3,v1.4",
+                              "--inner", "v0.0,v0.1,v0.2,v0.3,v0.4",
+                              "--budget", "10", "--json")
+    assert code == 3
+    assert stdout.splitlines() == [record]
 
     code, stdout, _ = run_cli(capsys, "verify-bounds", str(tower),
                               "--budget", "10", "--json")

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations
 
@@ -7,20 +8,28 @@ from hypothesis import strategies as st
 
 from threecolor import (
     BLOCK_DIAGONAL,
+    BudgetExceededError,
     FalsificationError,
+    TransitionMatrix,
+    canonical_cycle,
     classify,
     compose,
     count_3_colorings,
+    dilworth_decompose,
+    dodecahedron,
     dominates,
     enumerate_3_colorings,
+    extract,
     identity_matrix,
     is_dominant,
     is_doubling,
+    load_plane_graph,
     majorizes,
     matrix_report,
     pentagon_tower,
     perturbed_tower,
     pinned_counts,
+    plane_graph_to_json,
     potential,
     s_k,
     shared_path_pentagons,
@@ -29,9 +38,14 @@ from threecolor import (
     transition_matrix,
     verify_product_bound,
 )
-from threecolor.coloring import SPECIAL_POSITION
-from threecolor.plane_graph import annulus_subgraph
-from threecolor.transition import _random_doubling, apply_row, random_matrix_chain
+from threecolor.coloring import SPECIAL_POSITION, sweep_shape
+from threecolor.plane_graph import AbstractGraph, annulus_subgraph, validate_cycle
+from threecolor.transition import (
+    _random_doubling,
+    _special_position,
+    apply_row,
+    random_matrix_chain,
+)
 
 from builders import annulus_instances
 from oracles import pattern_transition_entries
@@ -281,6 +295,116 @@ def test_orbit_merged_matrix_matches_unmerged_sweep():
         assert m.updates < updates, name
 
 
+def test_sweep_shape_determines_the_sweep():
+    # relabel the layer annulus of tower 2 at random, and again with the
+    # ids stretched in the same order, and pin its outer pentagon in each
+    # of its ten cyclic orders: sweeps of equal shape give equal counts
+    # and updates, the stretch repeats every shape, and the ten orders
+    # of one labeling have ten shapes
+    g = pentagon_tower(2)
+    pents = tower_pentagons(g, 2)
+    outer, inner = validate_cycle(g, pents[1]), validate_cycle(g, pents[0])
+    ann = annulus_subgraph(g, outer, inner)
+    orders = [outer[t:] + outer[:t] for t in range(5)]
+    orders += [tuple(reversed(c)) for c in orders]
+    ids = list(ann.adj)
+    rng = random.Random(7)
+    results: dict = {}
+    for _ in range(30):
+        ranks = rng.sample(range(len(ids)), len(ids))
+        for stretch in (1, 7):
+            new = {v: stretch * r for v, r in zip(ids, ranks)}
+            h = AbstractGraph({new[v]: frozenset(new[w] for w in nb)
+                               for v, nb in ann.adj.items()})
+            for c in orders:
+                groups = (tuple(new[v] for v in c), tuple(new[v] for v in inner))
+                states, updates = pinned_counts(h, groups, tag=_special_position)
+                results.setdefault(sweep_shape(h, groups), set()).add(
+                    (tuple(sorted(states.items())), updates))
+    assert all(len(r) == 1 for r in results.values())
+    assert len(results) == 30 * len(orders)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 99), st.integers(0, 3), st.data())
+def test_reused_sweep_matches_a_fresh_sweep(height, seed, ops, data):
+    # warm the graph on every other pair of the chosen span, then compare
+    # the queried pair with a sweep on a freshly loaded copy of the graph
+    g = perturbed_tower(height, seed, ops)
+    pents = tower_pentagons(g, height)        # innermost first
+    span = data.draw(st.integers(1, height - 1), label="span")
+    inner = data.draw(st.integers(0, height - 1 - span), label="inner")
+    for i in range(height - span):
+        if i != inner:
+            transition_matrix(g, pents[i + span], pents[i])
+    warmed = len(g._matrices)
+    m = transition_matrix(g, pents[inner + span], pents[inner])
+    if ops == 0 and height - span > 1:
+        assert len(g._matrices) == warmed    # every tower span has one shape
+
+    fresh = load_plane_graph(json.loads(plane_graph_to_json(g)))
+    f = transition_matrix(fresh, [fresh.index(g.label(v)) for v in m.row_labels],
+                          [fresh.index(g.label(v)) for v in m.col_labels])
+    assert (f.entries, f.updates) == (m.entries, m.updates)
+    assert [g.label(v) for v in m.row_labels] == [fresh.label(v) for v in f.row_labels]
+    if span <= 2:
+        assert m.entries == pattern_transition_entries(g, m.row_labels,
+                                                       m.col_labels)
+
+
+def test_equal_sweep_shapes_sweep_once(monkeypatch):
+    import threecolor.transition as tr
+
+    sweeps = []
+    real = tr.pinned_counts
+    monkeypatch.setattr(tr, "pinned_counts",
+                        lambda *a, **kw: sweeps.append(a[0]) or real(*a, **kw))
+    g = pentagon_tower(8)
+    pents = tower_pentagons(g, 8)
+    layers = [transition_matrix(g, pents[i + 1], pents[i]) for i in range(7)]
+    assert len(sweeps) == 1
+    assert {(m.entries, m.updates) for m in layers} == {(layers[0].entries, 130)}
+    assert [m.row_labels for m in layers] == [canonical_cycle(p) for p in pents[1:]]
+    # an outer-to-inner pair has another shape and sweeps once, then hits
+    outer = transition_matrix(g, pents[-1], pents[0])
+    assert transition_matrix(g, pents[-1], pents[0]) == outer
+    assert len(sweeps) == 2
+    assert outer.entries == compose(layers[::-1]).entries
+    # so does a pair on another graph
+    d = dodecahedron()
+    chain, _ = dilworth_decompose(d, extract(d, 213).family)
+    transition_matrix(d, chain.cycles[0], chain.cycles[1])
+    assert len(sweeps) == 3
+
+
+def test_reused_sweep_charges_its_updates_to_the_budget():
+    g = pentagon_tower(3)
+    pents = tower_pentagons(g, 3)
+    first = transition_matrix(g, pents[1], pents[0])
+    with pytest.raises(BudgetExceededError) as exc:
+        transition_matrix(g, pents[2], pents[1], budget=first.updates - 1)
+    assert exc.value.budget == first.updates - 1
+    m = transition_matrix(g, pents[2], pents[1], budget=first.updates)
+    assert (m.entries, m.updates) == (first.entries, first.updates)
+    assert len(g._matrices) == 1
+    # the sweep itself raises at the same budget, and stores nothing then
+    fresh = pentagon_tower(3)
+    pents = tower_pentagons(fresh, 3)
+    with pytest.raises(BudgetExceededError):
+        transition_matrix(fresh, pents[2], pents[1], budget=first.updates - 1)
+    assert fresh._matrices == {}
+
+
+def test_reused_sweep_logs_one_debug_line(caplog):
+    g = pentagon_tower(3)
+    pents = tower_pentagons(g, 3)
+    with caplog.at_level("DEBUG", logger="threecolor"):
+        transition_matrix(g, pents[1], pents[0])
+        transition_matrix(g, pents[2], pents[1])
+    reused = [r.getMessage() for r in caplog.records if "reused" in r.getMessage()]
+    assert reused == ["transition sweep reused: 130 updates charged"]
+
+
 def test_divisible_by_six_guard_fires_on_an_off_by_one_cell(monkeypatch):
     import threecolor.transition as tr
 
@@ -314,6 +438,23 @@ def test_special_position_tag_calls_are_pinned(monkeypatch):
         calls.clear()
         assert transition_matrix(g, pents[-1], pents[0]).updates == updates
         assert len(calls) == 30, k
+
+
+@pytest.mark.parametrize("bad", [1.5, "1"])
+def test_transition_matrix_rejects_non_int_entries(bad):
+    labels = tuple(range(5))
+    with pytest.raises(ValueError, match="integers"):
+        TransitionMatrix(entries=((bad,) * 5,) * 5, row_labels=labels,
+                         col_labels=labels)
+    with pytest.raises(ValueError, match="non-negative"):
+        TransitionMatrix(entries=((-1,) * 5,) * 5, row_labels=labels,
+                         col_labels=labels)
+    for shape in (5, (1,) * 5, ((1,) * 5,) * 4):
+        with pytest.raises(ValueError, match="5x5"):
+            TransitionMatrix(entries=shape, row_labels=labels, col_labels=labels)
+    m = TransitionMatrix(entries=[[1] * 5] * 5, row_labels=labels,
+                         col_labels=labels)
+    assert m.entries == ALL_ONES and compose([m, m]).total == 125
 
 
 def test_special_position_tag_rejects_improper_pentagon():
