@@ -39,11 +39,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
 
-def _emit(data: dict, as_json: bool, human: str | None = None):
-    if as_json:
-        print(json.dumps(data, sort_keys=True))
-    else:
-        print(human if human is not None else json.dumps(data, sort_keys=True))
+def _emit(data: dict, as_json: bool, human: str):
+    print(json.dumps(data, sort_keys=True) if as_json else human)
 
 
 def _budget_exhausted(exc: BudgetExceededError, args, path: str, g) -> int:

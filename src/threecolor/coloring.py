@@ -9,9 +9,10 @@ exact Python integers.  Each pinned vertex, or each pinned group of
 vertices reduced to a tag of its colors, holds one frontier slot from
 the step its last member is placed until the end, so one sweep splits
 the count by the pinned colors or tags: this serves full counts,
-boundary counts, the extension test and transition matrices.  What
-each vertex step does to the frontier is planned once, before any
-state is visited.
+boundary counts, the extension test and transition matrices.  A sweep
+reads its graph once, into a shape (:func:`sweep_shape`) that also
+fixes the vertex order; what each vertex step does to the frontier is
+planned from the shape alone, before any state is visited.
 Colors are the literals 1, 2, 3 and colorings are counted as labeled
 objects (color permutations give distinct colorings).  Permuting the
 colors maps proper colorings to proper colorings, so a sweep that
@@ -73,10 +74,29 @@ def _picker(idx: Sequence[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*idx)
 
 
-def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
-          tag: Callable) -> list:
-    """Plan every vertex step of the sweep as ``(reads, extensions, key,
-    ntags)``.
+def sweep_shape(g, groups: Sequence[tuple],
+                fixed: Mapping[int, int] | None = None) -> tuple:
+    """The whole input of a sweep of ``g`` pinning ``groups`` and forcing
+    the ``fixed`` colors, besides its tag, in sweep-order positions
+    instead of vertex ids: for each vertex in the sweep order, the
+    sorted positions of its neighbours; for each group, the positions
+    of its members; and the fixed colors as sorted ``(position,
+    color)`` pairs.
+
+    The sweep order is chosen here and nowhere else, and :func:`sweep`
+    reads nothing else of the graph, so sweeps of equal shapes with the
+    same tag visit the same states and give the same counts and updates.
+    """
+    order = _bfs_order(g)
+    pos = {v: p for p, v in enumerate(order)}
+    return (tuple(tuple(sorted(pos[w] for w in g.neighbors(v))) for v in order),
+            tuple(tuple(pos[v] for v in grp) for grp in groups),
+            tuple(sorted((pos[v], c) for v, c in (fixed or {}).items())))
+
+
+def _plan(shape: tuple, tag: Callable) -> list:
+    """Plan every vertex step of the sweep of ``shape`` as ``(reads,
+    extensions, key, ntags)``; vertices are their sweep positions.
 
     A state holds the tags of the completed groups in group order, then
     the colors of the placed vertices that are still needed, in placement
@@ -88,28 +108,28 @@ def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
     ``None`` when it already has that layout; ``ntags`` counts the tag
     slots of that layout.
     """
-    pos = {v: p for p, v in enumerate(order)}
-    last = {v: max((pos[w] for w in g.neighbors(v)), default=-1) for v in order}
-    held: dict = {}          # vertex -> last step at which a group needs it
+    nbrs, groups, fixed = shape
+    fixed = dict(fixed)
+    last = [max(nb, default=-1) for nb in nbrs]
+    held: dict = {}          # position -> last step at which a group needs it
     completes: dict = {}     # step -> groups whose last member is placed there
     for i, grp in enumerate(groups):
-        done = max(pos[v] for v in grp)
+        done = max(grp)
         completes.setdefault(done, []).append(i)
         for v in grp:
             held[v] = max(held.get(v, -1), done)
     steps = []
     tags: list = []          # ("t", i) for each completed group i
-    placed: list = []        # placed vertices still needed
-    for p, v in enumerate(order):
+    placed: list = []        # placed positions still needed
+    for v, adj in enumerate(map(set, nbrs)):
         slot = {u: len(tags) + i for i, u in enumerate(placed)}
-        nbrs = set(g.neighbors(v))
-        idx = [slot[u] for u in placed if u in nbrs]
+        idx = [slot[u] for u in placed if u in adj]
         choices = (fixed[v],) if v in fixed else (1, 2, 3)
-        done = completes.get(p, ())
+        done = completes.get(v, ())
         new = [("t", i) for i in done]
         grown = tags + placed + [v] + new
         tags = sorted(tags + new)
-        placed = [u for u in placed + [v] if last[u] > p or held.get(u, -1) > p]
+        placed = [u for u in placed + [v] if last[u] > v or held.get(u, -1) > v]
         kept = [grown.index(x) for x in tags + placed]
         key = None if kept == list(range(len(grown))) else _picker(kept)
         if not done:
@@ -126,23 +146,6 @@ def _plan(order: Sequence, g, groups: Sequence[tuple], fixed: Mapping[int, int],
         steps.append((_picker(idx), _completing(nb, choices, members, tag), key,
                       len(tags)))
     return steps
-
-
-def sweep_shape(g, groups: Sequence[tuple]) -> tuple:
-    """Everything a sweep of ``g`` pinning the tagged ``groups`` (with no
-    fixed colors) reads of the graph, in sweep-order positions instead of
-    vertex ids: for each vertex in the sweep order, the positions of its
-    neighbours, then for each group the positions of its members.
-
-    ``_plan`` reads only the order, the neighbour sets and the group
-    members, and the loop of :func:`pinned_counts` reads only the plan,
-    so two sweeps with equal shapes and the same tag visit the same
-    states and return the same counts and the same number of updates.
-    """
-    order = _bfs_order(g)
-    pos = {v: p for p, v in enumerate(order)}
-    return (tuple(tuple(sorted(pos[w] for w in g.neighbors(v))) for v in order),
-            tuple(tuple(pos[v] for v in grp) for grp in groups))
 
 
 def _completing(nb: int, choices: tuple, members: list,
@@ -232,13 +235,9 @@ def pinned_counts(g, pinned: Sequence = (),
     its colors.  ``tag`` runs per entry of a step's memoized extension
     table, not per state.
 
-    Without ``fixed`` colors, ``tag`` must be invariant under color
-    permutations: the first time a sweep tags some colors, it also tags
-    their five other permutations, and a differing tag raises
-    ``ValueError``.  Such a sweep, like one without pins, keeps one
-    state per color orbit (see the module docstring).  Fixed colors and
-    untagged pins tell the colors apart, so their sweeps keep every
-    state.
+    The vertex ids and colors are checked here; the count is
+    ``sweep(sweep_shape(g, groups, fixed), tag, budget)``, which reads
+    the graph only through its shape (see :func:`sweep` for orbits).
     """
     fixed = dict(fixed or {})
     verts = set(g.vertices)
@@ -247,23 +246,39 @@ def pinned_counts(g, pinned: Sequence = (),
             raise ValueError(f"vertex {v} not in graph")
         if c not in (1, 2, 3):
             raise ValueError(f"color must be 1, 2 or 3, got {c}")
-    merge = not fixed and (tag is not None or not pinned)
-    if tag is None:     # an untagged pin is a one-vertex group tagged by its color
-        groups, tag = [(v,) for v in pinned], itemgetter(0)
-    else:
-        groups = [tuple(p) for p in pinned]
+    groups = [(v,) for v in pinned] if tag is None else [tuple(p) for p in pinned]
     for grp in groups:
         if not grp:
             raise ValueError("pinned groups must not be empty")
         for v in grp:
             if v not in verts:
                 raise ValueError(f"vertex {v} not in graph")
-    if merge and groups:
+    return sweep(sweep_shape(g, groups, fixed), tag, budget)
+
+
+def sweep(shape: tuple, tag: Callable[[tuple], Hashable] | None,
+          budget: int) -> tuple[dict, int]:
+    """The counting sweep of a :func:`sweep_shape`: ``(states, updates)``
+    as :func:`pinned_counts` returns them.  Without ``tag`` every group
+    is one vertex, keyed by its color.
+
+    Without fixed colors, ``tag`` must be invariant under color
+    permutations: the first time a sweep tags some colors, it also tags
+    their five other permutations, and a differing tag raises
+    ``ValueError``.  Such a sweep, like one without groups, keeps one
+    state per color orbit (see the module docstring).  Fixed colors and
+    untagged groups tell the colors apart, so their sweeps keep every
+    state.
+    """
+    nbrs, groups, fixed = shape
+    merge = not fixed and (tag is not None or not groups)
+    if tag is None:
+        tag = itemgetter(0)
+    elif merge:
         tag = _color_blind(tag)
     states = {(): 1}
     updates = peak = 0
-    for reads, extensions, key, ntags in _plan(_bfs_order(g), g, groups, fixed,
-                                               tag):
+    for reads, extensions, key, ntags in _plan(shape, tag):
         nxt: dict = {}
         get = nxt.get
         memo: dict = {}
@@ -283,7 +298,7 @@ def pinned_counts(g, pinned: Sequence = (),
         states = _merge_orbits(nxt, ntags) if merge else nxt
         peak = max(peak, len(states))
     log.debug("sweep of %d vertices: %d updates, peak %d live states, "
-              "color orbits %s", len(verts), updates, peak,
+              "color orbits %s", len(nbrs), updates, peak,
               "merged" if merge else "not merged")
     return states, updates
 

@@ -713,25 +713,21 @@ def region_graph(g: PlaneGraph, outer: Sequence[int] | None = None,
     minus the open interiors of ``holes``, on the host's vertex ids.
 
     The holes must lie strictly inside ``outer`` and have pairwise
-    disjoint interiors.  An edge is dropped iff both of its faces lie
-    inside one hole, or both lie outside ``outer``; so chords drawn
-    inside a hole or outside ``outer`` go, while an edge shared by the
-    boundaries of two holes, or of a hole and ``outer``, stays.
+    disjoint interiors.  An edge is dropped iff both of its ends lie on
+    one of these cycles and both of its faces on that cycle's far side
+    (outside ``outer``, inside a hole); so chords drawn inside a hole or
+    outside ``outer`` go, while an edge shared by the boundaries of two
+    holes, or of a hole and ``outer``, stays.
     """
     t = g.dual_tree
     keep = t.all_vertices
     inside = None
-    # the far side of each cycle as a face mask (the outside of ``outer``,
-    # the inside of a hole), and for each cycle vertex the cycles it is on
-    far: list[int] = []
-    rim: dict = {}
+    cuts = []       # (cycle, the face mask of its far side)
     if outer is not None:
         parts = region_partition(g, outer)
         inside = parts.face_mask
         keep = parts.boundary_mask | parts.interior_mask
-        far.append(~inside)
-        for v in parts.cycle:
-            rim[v] = [0]
+        cuts.append((parts.cycle, ~inside))
     covered = 0
     for h in holes:
         parts = region_partition(g, h)
@@ -742,23 +738,17 @@ def region_graph(g: PlaneGraph, outer: Sequence[int] | None = None,
             raise ValueError("hole interiors overlap; not an antichain")
         covered |= faces
         keep &= ~parts.interior_mask
-        for v in parts.cycle:
-            rim.setdefault(v, []).append(len(far))
-        far.append(faces)
+        cuts.append((parts.cycle, faces))
     face_of = g.face_of_dart
-
-    def dropped(v, w) -> bool:
-        # both faces of an edge can lie on the far side of a cycle only
-        # when both ends are on that cycle
-        a = t.pre[face_of[(v, w)]]
-        b = t.pre[face_of[(w, v)]]
-        return any(far[i] >> a & 1 and far[i] >> b & 1
-                   for i in rim.get(v, ()) if i in rim.get(w, ()))
-
+    drop = set()    # both darts of each dropped edge
+    for cycle, far in cuts:
+        on = set(cycle)
+        drop.update((v, w) for v in cycle for w in g.rotation[v]
+                    if w in on and far >> t.pre[face_of[(v, w)]] & 1
+                    and far >> t.pre[face_of[(w, v)]] & 1)
     kept = t.vertices(keep)
     return AbstractGraph(adj={
-        v: frozenset(w for w in g.rotation[v]
-                     if w in kept and not dropped(v, w))
+        v: frozenset(w for w in g.rotation[v] if w in kept and (v, w) not in drop)
         for v in sorted(kept)})
 
 

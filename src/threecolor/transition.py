@@ -9,17 +9,11 @@ special vertices, so every raw cell count is divisible by 6; this is
 asserted before dividing.
 
 Each host graph keeps the entries and updates of its matrix sweeps,
-keyed by the annulus's sweep shape (:func:`coloring.sweep_shape`): for
-each vertex in the sweep order, the order positions of its neighbours,
-then the positions of the two pentagons' members in cycle order.  That
-is everything the sweep reads; its tags are special positions and its
-update count depends only on the plan, neither on vertex ids, so an
-annulus of a known shape gets exactly the entries and updates its own
-sweep would give.  A reuse skips only the sweep: both cycles are still
-validated and the annulus still cut with every guard of
-``region_graph``, and the stored updates are charged to the budget,
-which raises exactly where the sweep would have, since a sweep checks
-its growing update count after every step.
+keyed by the annulus's sweep shape (:func:`coloring.sweep_shape`), which
+is the sweep's whole input besides its tag.  A reuse skips only the
+sweep: both cycles are still validated, the annulus still cut with
+every guard of ``region_graph``, and the stored updates charged to the
+budget, which raises exactly where the sweep would have.
 
 All matrix arithmetic is exact integer arithmetic: the product bound
 grows exponentially and the comparisons are done in the integers
@@ -35,9 +29,9 @@ from functools import cache
 from itertools import chain, combinations, permutations, product
 from typing import Sequence
 
-from .coloring import DEFAULT_BUDGET, SPECIAL_POSITION, pinned_counts, sweep_shape
+from .coloring import DEFAULT_BUDGET, SPECIAL_POSITION, sweep, sweep_shape
 from .errors import BudgetExceededError, FalsificationError
-from .plane_graph import Cycle, PlaneGraph, annulus_subgraph, validate_cycle
+from .plane_graph import PlaneGraph, annulus_subgraph, validate_cycle
 
 log = logging.getLogger(__name__)
 
@@ -238,7 +232,7 @@ def transition_matrix(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int],
     shape = sweep_shape(ann, (k1, k2))
     known = g._matrices.get(shape)
     if known is None:
-        known = g._matrices[shape] = _sweep(ann, k1, k2, budget)
+        known = g._matrices[shape] = _sweep(shape, budget)
     elif known[1] > budget:
         raise BudgetExceededError(budget)
     else:
@@ -248,10 +242,9 @@ def transition_matrix(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int],
                             updates=updates)
 
 
-def _sweep(ann, k1: Cycle, k2: Cycle, budget: int) -> tuple:
-    """The entries and updates of one tagged sweep over an annulus."""
-    states, updates = pinned_counts(ann, (k1, k2), budget=budget,
-                                    tag=_special_position)
+def _sweep(shape: tuple, budget: int) -> tuple:
+    """The entries and updates of the tagged sweep of an annulus shape."""
+    states, updates = sweep(shape, _special_position, budget)
     raw = [[0] * 5 for _ in range(5)]
     for (i, j), cnt in states.items():
         raw[i][j] += cnt

@@ -31,7 +31,7 @@ from threecolor import (
     shared_path_pentagons,
     tower_pentagons,
 )
-from threecolor.generators import garden_pentagons
+from threecolor.generators import _graph_from_layout, garden_pentagons
 from threecolor.plane_graph import PlaneGraph, identify_neighbors
 
 from builders import (
@@ -677,6 +677,25 @@ def test_interior_subgraph_excludes_chord_drawn_outside():
     assert sub.edge_count == 5
     walk = sub.faces[sub.outer_face]
     assert len(walk) == 5
+
+
+def test_region_graph_drops_chords_of_long_cycles_on_their_far_side():
+    # a concave hexagon 0..5 with the chord 0-3 drawn above it, outside
+    # the hexagon, and inside it a square 6..9 with the chord 6-8 drawn
+    # inside the square, joined to the hexagon by the edge 1-6
+    pos = {0: (0, 2), 1: (0, 0), 2: (3, 0), 3: (3, 2), 4: (2, 1), 5: (1, 1),
+           6: (1, .3), 7: (2, .3), 8: (2, .7), 9: (1, .7)}
+    hexagon, square = (0, 1, 2, 3, 4, 5), (6, 7, 8, 9)
+    edges = [(0, 3), (6, 8), (1, 6)]
+    for c in (hexagon, square):
+        edges += [(c[i - 1], c[i]) for i in range(len(c))]
+    g = _graph_from_layout(pos, edges, [0, 1, 2, 3])
+    assert g.edge_count == 13
+    region = region_graph(g, hexagon, [square])
+    assert region.n == 10
+    assert region.edge_count == 11
+    assert 3 not in region.neighbors(0) and 8 not in region.neighbors(6)
+    _check_region(g, hexagon, [square])
 
 
 def test_exterior_subgraph_of_tower_middle_layer():

@@ -298,9 +298,10 @@ def test_orbit_merged_matrix_matches_unmerged_sweep():
 def test_sweep_shape_determines_the_sweep():
     # relabel the layer annulus of tower 2 at random, and again with the
     # ids stretched in the same order, and pin its outer pentagon in each
-    # of its ten cyclic orders: sweeps of equal shape give equal counts
-    # and updates, the stretch repeats every shape, and the ten orders
-    # of one labeling have ten shapes
+    # of its ten cyclic orders, then fix one vertex to each color in
+    # turn: sweeps of equal shape give equal counts and updates, the
+    # stretch repeats every shape, the ten orders of one labeling have
+    # ten shapes and the three fixed colors three more
     g = pentagon_tower(2)
     pents = tower_pentagons(g, 2)
     outer, inner = validate_cycle(g, pents[1]), validate_cycle(g, pents[0])
@@ -310,7 +311,7 @@ def test_sweep_shape_determines_the_sweep():
     ids = list(ann.adj)
     rng = random.Random(7)
     results: dict = {}
-    for _ in range(30):
+    for trial in range(30):
         ranks = rng.sample(range(len(ids)), len(ids))
         for stretch in (1, 7):
             new = {v: stretch * r for v, r in zip(ids, ranks)}
@@ -321,8 +322,18 @@ def test_sweep_shape_determines_the_sweep():
                 states, updates = pinned_counts(h, groups, tag=_special_position)
                 results.setdefault(sweep_shape(h, groups), set()).add(
                     (tuple(sorted(states.items())), updates))
+            fixed_shapes = set()
+            for color in (1, 2, 3):
+                fixed = {new[ids[trial % len(ids)]]: color}
+                states, updates = pinned_counts(h, groups, fixed,
+                                                tag=_special_position)
+                shape = sweep_shape(h, groups, fixed)
+                fixed_shapes.add(shape)
+                results.setdefault(shape, set()).add(
+                    (tuple(sorted(states.items())), updates))
+            assert len(fixed_shapes) == 3
     assert all(len(r) == 1 for r in results.values())
-    assert len(results) == 30 * len(orders)
+    assert len(results) == 30 * (len(orders) + 3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -356,8 +367,8 @@ def test_equal_sweep_shapes_sweep_once(monkeypatch):
     import threecolor.transition as tr
 
     sweeps = []
-    real = tr.pinned_counts
-    monkeypatch.setattr(tr, "pinned_counts",
+    real = tr.sweep
+    monkeypatch.setattr(tr, "sweep",
                         lambda *a, **kw: sweeps.append(a[0]) or real(*a, **kw))
     g = pentagon_tower(8)
     pents = tower_pentagons(g, 8)
@@ -408,13 +419,13 @@ def test_reused_sweep_logs_one_debug_line(caplog):
 def test_divisible_by_six_guard_fires_on_an_off_by_one_cell(monkeypatch):
     import threecolor.transition as tr
 
-    real = tr.pinned_counts
+    real = tr.sweep
 
     def off_by_one(*args, **kwargs):
         states, updates = real(*args, **kwargs)
         first = next(iter(states))
         return {**states, first: states[first] + 1}, updates
-    monkeypatch.setattr(tr, "pinned_counts", off_by_one)
+    monkeypatch.setattr(tr, "sweep", off_by_one)
     g = pentagon_tower(3)
     pents = tower_pentagons(g, 3)
     with pytest.raises(FalsificationError, match="not divisible by 6"):
@@ -564,14 +575,14 @@ def test_matrix_report_shape():
 def test_sixth_integrality_guard_trips_on_corrupt_counts(monkeypatch):
     import threecolor.transition as tr
 
-    real = tr.pinned_counts
+    real = tr.sweep
 
     def corrupt(*args, **kwargs):
         states, updates = real(*args, **kwargs)
         states[min(states)] += 1    # one boundary coloring miscounted by one
         return states, updates
 
-    monkeypatch.setattr(tr, "pinned_counts", corrupt)
+    monkeypatch.setattr(tr, "sweep", corrupt)
     g = pentagon_tower(2)
     pents = tower_pentagons(g, 2)
     with pytest.raises(FalsificationError):
