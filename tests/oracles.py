@@ -13,7 +13,11 @@ cycles by rebuilding each side as a plane graph with fresh ids, the
 reference of ``plane_graph.region_graph``.  ``dual_search_faces`` and
 ``rescan_partition`` are the interior search and the per-vertex face
 rescan that the dual-tree parity of ``plane_graph.region_partition``
-replaced.
+replaced.  ``compose_by_definition`` is the triple-sum matrix product
+that ``transition.compose`` replaced, and ``per_entry_doubling`` and
+``per_entry_dominant`` are the samplers that drew one entry per RNG
+call, kept as the reference of ``transition._doubling_from`` and
+``transition._dominant_from``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from threecolor import (
 )
 from threecolor.errors import FalsificationError
 from threecolor.plane_graph import identify_neighbors, validate_cycle
+from threecolor.transition import BLOCK_DIAGONAL, TransitionMatrix, _doubling_supports
 
 
 def cycle_edges(cycle) -> set[frozenset]:
@@ -115,6 +120,45 @@ def pattern_transition_entries(g, c1, c2):
             raw[s1][s2] += count_with_boundary(ann, fixed).count
     assert all(x % 6 == 0 for row in raw for x in row)
     return tuple(tuple(x // 6 for x in row) for row in raw)
+
+
+def compose_by_definition(ms):
+    """The product of a chain of transition matrices, one triple sum and
+    one checked ``TransitionMatrix`` per step."""
+    ms = list(ms)
+    if not ms:
+        raise ValueError("cannot compose an empty list")
+    acc = ms[0]
+    for nxt in ms[1:]:
+        if acc.col_labels != nxt.row_labels:
+            raise ValueError(
+                f"label mismatch: {acc.col_labels} vs {nxt.row_labels}")
+        a, b = acc.entries, nxt.entries
+        prod = tuple(
+            tuple(sum(a[i][t] * b[t][j] for t in range(5)) for j in range(5))
+            for i in range(5))
+        acc = TransitionMatrix(entries=prod, row_labels=acc.row_labels,
+                               col_labels=nxt.col_labels)
+    return acc
+
+
+def per_entry_doubling(rng):
+    """A support by ``rng.choice``, then one ``rng.randint(1, 3)`` per
+    support cell, row by row and in pair order."""
+    m = [[0] * 5 for _ in range(5)]
+    for i, pair in enumerate(rng.choice(_doubling_supports())):
+        for j in pair:
+            m[i][j] = rng.randint(1, 3)
+    return tuple(tuple(r) for r in m)
+
+
+def per_entry_dominant(rng):
+    """Row and column permutations by ``rng.sample``, then one
+    ``rng.randint(0, 1)`` of noise per entry, row by row."""
+    sigma = rng.sample(range(5), 5)
+    tau = rng.sample(range(5), 5)
+    return tuple(tuple(BLOCK_DIAGONAL[sigma[i]][tau[j]] + rng.randint(0, 1)
+                       for j in range(5)) for i in range(5))
 
 
 def pairwise_laminar(g, family) -> bool:

@@ -1,6 +1,7 @@
 import json
 import random
-from itertools import permutations
+import re
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,9 @@ from threecolor import (
 from threecolor.coloring import SPECIAL_POSITION, sweep_shape
 from threecolor.plane_graph import AbstractGraph, annulus_subgraph, validate_cycle
 from threecolor.transition import (
+    _dominant_from,
+    _doubling_from,
+    _doubling_supports,
     _random_doubling,
     _special_position,
     apply_row,
@@ -48,13 +52,20 @@ from threecolor.transition import (
 )
 
 from builders import annulus_instances
-from oracles import pattern_transition_entries
+from oracles import (
+    compose_by_definition,
+    pattern_transition_entries,
+    per_entry_doubling,
+    per_entry_dominant,
+)
 
 ALL_ONES = tuple((1,) * 5 for _ in range(5))
 IDENTITY = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
 
 vectors = st.tuples(*(st.integers(min_value=0, max_value=50),) * 5)
 small_matrices = st.tuples(*(st.tuples(*(st.integers(0, 4),) * 5),) * 5)
+# half the entries zero, so that dominant and non-dominant both occur
+sparse_matrices = st.tuples(*(st.tuples(*(st.sampled_from((0, 0, 1, 3)),) * 5),) * 5)
 
 
 def permuted_equal(a, b):
@@ -137,6 +148,38 @@ def test_dominates_transitive_on_constructed_samples():
         assert dominates(a, c)
 
 
+def test_every_permuted_block_matrix_is_dominant():
+    # the 14,400 permutation pairs give the 600 matrices of 100 blocks
+    # times 6 transversals
+    seen = set()
+    for sigma in permutations(range(5)):
+        for tau in permutations(range(5)):
+            m = tuple(tuple(BLOCK_DIAGONAL[s][t] for t in tau) for s in sigma)
+            assert is_dominant(m), m
+            seen.add(m)
+    assert len(seen) == 600
+
+
+def test_block_matrix_less_any_one_is_not_dominant():
+    for i, j in product(range(5), repeat=2):
+        if BLOCK_DIAGONAL[i][j]:
+            m = tuple(tuple(x - ((r, c) == (i, j)) for c, x in enumerate(row))
+                      for r, row in enumerate(BLOCK_DIAGONAL))
+            assert not is_dominant(m) and not dominates(m, BLOCK_DIAGONAL)
+
+
+@given(sparse_matrices | small_matrices)
+@settings(max_examples=100, deadline=None)
+def test_is_dominant_matches_the_definition(m):
+    assert is_dominant(m) == dominates(m, BLOCK_DIAGONAL)
+
+
+def test_is_dominant_matches_the_definition_on_annulus_matrices():
+    for name, g, outer, inner in annulus_instances():
+        m = transition_matrix(g, outer, inner)
+        assert is_dominant(m) == dominates(m, BLOCK_DIAGONAL), name
+
+
 # ---------------------------------------------------------------------------
 # the potential
 # ---------------------------------------------------------------------------
@@ -192,6 +235,12 @@ def test_dominant_step_grows_potential_exhaustively():
                         x = (a, b, c, d, e)
                         y = apply_row(x, BLOCK_DIAGONAL)
                         assert 2 * potential(y) >= 3 * potential(x)
+
+
+@pytest.mark.parametrize("x", [(1,) * 4, (1,) * 6])
+def test_apply_row_rejects_a_vector_of_wrong_length(x):
+    with pytest.raises(ValueError):
+        apply_row(x, ALL_ONES)
 
 
 def test_doubling_step_properties():
@@ -490,11 +539,33 @@ def test_compose_singleton_and_identity():
 
 
 def test_compose_rejects_label_mismatch():
+    # and an empty chain, with the messages of the triple-sum product
     g = pentagon_tower(3)
     pents = tower_pentagons(g, 3)
     m1 = transition_matrix(g, pents[2], pents[1])
-    with pytest.raises(ValueError):
-        compose([m1, m1])
+    for ms in ([m1, m1], []):
+        with pytest.raises(ValueError) as want:
+            compose_by_definition(ms)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            compose(ms)
+
+
+def test_compose_matches_the_triple_sum_product_on_tower_chains():
+    for h in range(2, 49):
+        g = pentagon_tower(h)
+        pents = tower_pentagons(g, h)
+        layers = [transition_matrix(g, pents[i + 1], pents[i])
+                  for i in reversed(range(h - 1))]
+        assert compose(layers) == compose_by_definition(layers), h
+
+
+@given(st.lists(small_matrices, min_size=1, max_size=6))
+@settings(max_examples=100)
+def test_compose_matches_the_triple_sum_product(mats):
+    labels = [tuple(range(5 * k, 5 * k + 5)) for k in range(len(mats) + 1)]
+    ms = [TransitionMatrix(entries=m, row_labels=labels[k],
+                           col_labels=labels[k + 1]) for k, m in enumerate(mats)]
+    assert compose(ms) == compose_by_definition(ms)
 
 
 @pytest.mark.parametrize("height", [3, 4, 5])
@@ -550,6 +621,47 @@ def test_precomputed_kinds_match_classify():
         got = classify(m)
         assert got == kind or got == "both"
     assert verify_product_bound(mats).ok  # classify-on-the-fly path
+
+
+class ScriptedRandom:
+    """Hands fixed draws to the per-entry samplers: ``sample`` and
+    ``choice`` return the next scripted pick, ``randint`` the next
+    scripted int, checked to lie in its range."""
+
+    def __init__(self, picks, ints):
+        self.picks, self.ints = iter(picks), iter(ints)
+
+    def sample(self, population, k):
+        return list(next(self.picks))
+
+    def choice(self, seq):
+        return next(self.picks)
+
+    def randint(self, a, b):
+        x = next(self.ints)
+        assert a <= x <= b
+        return x
+
+
+def test_dominant_builder_matches_the_per_entry_sampler():
+    for mask in (0, 2 ** 25 - 1, 0x1555555, 0x1F0000F, 0xBC614E):
+        noise = [mask >> k & 1 for k in range(25)]
+        for sigma in permutations(range(5)):
+            for tau in permutations(range(5)):
+                old = per_entry_dominant(ScriptedRandom((sigma, tau), noise))
+                assert _dominant_from(sigma, tau, mask) == old
+
+
+def test_doubling_builder_matches_the_per_entry_sampler():
+    supports = _doubling_supports()
+    assert len(supports) == len(set(supports)) == 2040
+    for digits in ([0] * 10, [2] * 10, [0, 1, 2] * 3 + [1],
+                   [2, 2, 0, 1, 0, 0, 1, 2, 1, 0]):
+        value = sum(d * 3 ** k for k, d in enumerate(digits))
+        for support in supports:
+            old = per_entry_doubling(
+                ScriptedRandom((support,), [d + 1 for d in digits]))
+            assert _doubling_from(support, value) == old
 
 
 def test_product_bound_rejects_neither():
