@@ -1,24 +1,40 @@
 """Exact 3-coloring counting and the coloring-side operations.
 
-Counting is a frontier dynamic program over one fixed vertex order, a
-path decomposition of the graph.  After each vertex is placed, the
-placed vertices that still have an unplaced neighbour form the
-frontier, and a dict maps each coloring of the frontier to the number
-of proper colorings of the placed vertices that induce it.  Counts are
-exact Python integers.  Each pinned vertex, or each pinned group of
-vertices reduced to a tag of its colors, holds one frontier slot from
-the step its last member is placed until the end, so one sweep splits
-the count by the pinned colors or tags: this serves full counts,
-boundary counts, the extension test and transition matrices.  A sweep
-reads its graph once, into a shape (:func:`sweep_shape`) that also
-fixes the vertex order; what each vertex step does to the frontier is
-planned from the shape alone, before any state is visited.
+Counting is a frontier dynamic program over one vertex order, a path
+decomposition of the graph.  After each vertex is placed, the placed
+vertices that a later step still reads form the frontier, and a dict
+maps each coloring of the frontier to the number of proper colorings of
+the placed vertices that induce it.  Counts are exact Python integers.
+Each pinned vertex, or each pinned group of vertices reduced to a tag
+of its colors, is held from the step its last member is placed until
+the end, so one sweep splits the count by the pinned colors or tags:
+this serves full counts, boundary counts, the extension test and
+transition matrices.
+
+A sweep reads its graph once, into a shape (:func:`sweep_shape`): the
+graph in breadth-first positions from the least vertex.  :func:`sweep`
+chooses the vertex order from the shape alone, as the one with the
+least estimated state count among breadth-first search from position
+0, n//3, 2n//3 and n-1; equal shapes therefore sweep identically, and
+a caller that memoizes by shape pays nothing for the choice on a hit.
+What each step does to the frontier is then planned from positions,
+before any state is visited.
+
+A state is one int.  Each frontier vertex holds a fixed 2-bit register
+for its whole time on the frontier (the lowest one free when it is
+placed), holding its color 1, 2 or 3; each completed group holds a
+field above the registers with its tag, interned per sweep.  A step
+reads ``state & read``, looks the extensions up in a table memoized by
+that value, and writes ``(state & keep) | extension``.
+
 Colors are the literals 1, 2, 3 and colorings are counted as labeled
 objects (color permutations give distinct colorings).  Permuting the
 colors maps proper colorings to proper colorings, so a sweep that
 forces no color and tags only by color-blind tags keeps one state per
-color orbit: each state is relabeled by first occurrence and holds the
-summed count of its orbit.
+color orbit: the one whose lowest used register holds 1 and whose first
+register of another color holds 2, with the summed count of its orbit.
+Every new state is tested for this by bit masks and relabeled by XOR
+swaps of two colors in all registers at once when it fails.
 
 A coloring is represented as a tuple indexed by vertex id.
 """
@@ -27,8 +43,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import permutations, product
-from operator import itemgetter
+from itertools import accumulate, chain, permutations, product, repeat
+from operator import itemgetter, mul
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, GraphFormatError
@@ -64,28 +80,19 @@ class CountResult:
     nodes: int      # frontier state updates spent
 
 
-def _picker(idx: Sequence[int]) -> Callable[[tuple], tuple]:
-    """The projection of a state tuple onto the slots ``idx``, as a tuple."""
-    if len(idx) == 1:
-        (i,) = idx
-        return lambda s: (s[i],)
-    if not idx:
-        return lambda s: ()
-    return itemgetter(*idx)
-
-
 def sweep_shape(g, groups: Sequence[tuple],
                 fixed: Mapping[int, int] | None = None) -> tuple:
     """The whole input of a sweep of ``g`` pinning ``groups`` and forcing
-    the ``fixed`` colors, besides its tag, in sweep-order positions
-    instead of vertex ids: for each vertex in the sweep order, the
-    sorted positions of its neighbours; for each group, the positions
-    of its members; and the fixed colors as sorted ``(position,
-    color)`` pairs.
+    the ``fixed`` colors, besides its tag, in breadth-first positions
+    instead of vertex ids: for each vertex in breadth-first order from
+    the least vertex, the sorted positions of its neighbours; for each
+    group, the positions of its members; and the fixed colors as sorted
+    ``(position, color)`` pairs.
 
-    The sweep order is chosen here and nowhere else, and :func:`sweep`
-    reads nothing else of the graph, so sweeps of equal shapes with the
-    same tag visit the same states and give the same counts and updates.
+    :func:`sweep` reads nothing else of the graph, and it chooses its
+    vertex order from the shape alone, so sweeps of equal shapes with
+    the same tag visit the same states and give the same counts and
+    updates.
     """
     order = _bfs_order(g)
     pos = {v: p for p, v in enumerate(order)}
@@ -94,84 +101,209 @@ def sweep_shape(g, groups: Sequence[tuple],
             tuple(sorted((pos[v], c) for v, c in (fixed or {}).items())))
 
 
-def _plan(shape: tuple, tag: Callable) -> list:
-    """Plan every vertex step of the sweep of ``shape`` as ``(reads,
-    extensions, key, ntags)``; vertices are their sweep positions.
+def _bfs_from(nbrs: Sequence[tuple], root: int) -> tuple[list, list, list]:
+    """Breadth-first search over the positions of a shape from ``root``,
+    neighbours in position order, restarted at the least unplaced
+    position for each further component.  Returns ``(order, at,
+    last)``: the positions in search order, the step of each position
+    and the last step that places a neighbour of it (-1 if none)."""
+    n = len(nbrs)
+    at = [-1] * n
+    last = [-1] * n
+    order: list = []
+    for r in chain((root,), range(n)):
+        if at[r] >= 0:
+            continue
+        i = at[r] = len(order)
+        order.append(r)
+        while i < len(order):
+            for w in nbrs[order[i]]:
+                last[w] = i
+                if at[w] < 0:
+                    at[w] = len(order)
+                    order.append(w)
+            i += 1
+    return order, at, last
 
-    A state holds the tags of the completed groups in group order, then
-    the colors of the placed vertices that are still needed, in placement
-    order.  ``reads`` picks from a state the colors of the vertex's placed
-    neighbours, then those of the other members of each group completing
-    at this step.  ``extensions(seen)`` gives one tuple per allowed color
-    ``c``: ``c``, then the tag of each completing group's colors.  ``key``
-    maps ``state + extension`` onto the next state's layout, or is
-    ``None`` when it already has that layout; ``ntags`` counts the tag
-    slots of that layout.
+
+def _estimate(groups: Sequence[tuple], at: Sequence[int], last: list) -> int:
+    """The estimated state count of a sweep placing each position ``v``
+    at step ``at[v]``, whose neighbours are placed by step ``last[v]``:
+    the sum over steps of 3**(live colors) * 5**(completed groups)."""
+    n = len(at)
+    tags = [0] * n
+    if groups:
+        last = list(last)
+    for grp in groups:
+        done = max(map(at.__getitem__, grp))
+        tags[done] += 1
+        for v in grp:
+            last[v] = max(last[v], done)
+    delta = [0] * n
+    for t, end in zip(at, last):
+        if end > t:
+            delta[t] += 1
+            delta[end] -= 1
+    live = map(pow, repeat(3), accumulate(delta))
+    if not groups:
+        return sum(live)
+    return sum(map(mul, live, map(pow, repeat(5), accumulate(tags))))
+
+
+def _narrowest_bfs(shape: tuple) -> list:
+    """The vertex order of the sweep of ``shape``: the shape's own
+    breadth-first order, or breadth-first search restarted from
+    position n//3, 2n//3 or n-1, whichever has the least
+    :func:`_estimate`; earlier candidates win ties."""
+    nbrs, groups, _ = shape
+    n = len(nbrs)
+    best = list(range(n))
+    least = _estimate(groups, best, [adj[-1] if adj else -1 for adj in nbrs])
+    for root in dict.fromkeys((n // 3, 2 * n // 3, n - 1)):
+        if root > 0:
+            order, at, last = _bfs_from(nbrs, root)
+            cost = _estimate(groups, at, last)
+            if cost < least:
+                best, least = order, cost
+    return best
+
+
+def _reordered(shape: tuple, order: Sequence[int]) -> tuple:
+    """``shape`` with its positions renumbered by their place in
+    ``order``."""
+    nbrs, groups, fixed = shape
+    if all(t == v for t, v in enumerate(order)):
+        return shape
+    at = [0] * len(nbrs)
+    for t, v in enumerate(order):
+        at[v] = t
+    return (tuple(tuple(sorted([at[w] for w in nbrs[v]])) for v in order),
+            tuple(tuple(at[v] for v in grp) for grp in groups),
+            tuple(sorted((at[v], c) for v, c in fixed)))
+
+
+def _plan(shape: tuple, tag: Callable) -> tuple:
+    """Plan every vertex step of the sweep of ``shape`` in the shape's
+    own order, and the layout of its states, from positions alone.
+
+    Returns ``(steps, registers, fields)``.  A state is one int.  Each
+    placed vertex whose color a later step reads holds a 2-bit register
+    (bits 2r and 2r + 1 hold its color) from its step until that last
+    read; it takes the lowest register free once the step's retiring
+    vertices have left, and ``registers`` is the number of registers
+    used, the peak frontier width.  Above the registers, each group has
+    a tag field: ``fields`` holds its ``(offset, mask, ids)``, where
+    ``ids`` interns the group's tag values in order of first use.  Each
+    step is ``(read, extensions, keep, live)``: ``state & read`` holds
+    the colors of the vertex's placed neighbours and of the other
+    members of the groups completing there; ``extensions(seen)`` gives
+    the bits that each allowed color, and the tags it completes, add;
+    ``keep`` clears the registers that retire at the step, and ``live``
+    has both bits of every register in use after it.
     """
     nbrs, groups, fixed = shape
+    n = len(nbrs)
     fixed = dict(fixed)
-    last = [max(nb, default=-1) for nb in nbrs]
-    held: dict = {}          # position -> last step at which a group needs it
+    leave = [max(nb, default=-1) for nb in nbrs]   # last step reading v
     completes: dict = {}     # step -> groups whose last member is placed there
     for i, grp in enumerate(groups):
         done = max(grp)
         completes.setdefault(done, []).append(i)
         for v in grp:
-            held[v] = max(held.get(v, -1), done)
+            leave[v] = max(leave[v], done)
+    reg: list = [None] * n
+    retiring: dict = {}      # step -> vertices read there for the last time
+    used = registers = 0
+    for v in range(n):
+        for u in retiring.get(v, ()):
+            used ^= 1 << reg[u]
+        if leave[v] > v:
+            r = reg[v] = (~used & (used + 1)).bit_length() - 1
+            used |= 1 << r
+            registers = max(registers, r + 1)
+            retiring.setdefault(leave[v], []).append(v)
+    fields = []
+    top = 2 * registers
+    for grp in groups:
+        width = (3 ** len(set(grp)) - 1).bit_length()
+        fields.append((top, (1 << width) - 1, {}))
+        top += width
+    tags = (1 << top) - (1 << 2 * registers)
+    live = 0                 # the registers in use
     steps = []
-    tags: list = []          # ("t", i) for each completed group i
-    placed: list = []        # placed positions still needed
-    for v, adj in enumerate(map(set, nbrs)):
-        slot = {u: len(tags) + i for i, u in enumerate(placed)}
-        idx = [slot[u] for u in placed if u in adj]
+    for v in range(n):
+        shifts = [2 * reg[u] for u in nbrs[v] if u < v]
+        read = sum([3 << s for s in shifts])
+        for u in retiring.get(v, ()):
+            live ^= 3 << 2 * reg[u]
+        keep = live | tags
+        put = None if reg[v] is None else 2 * reg[v]
+        if put is not None:
+            live |= 3 << put
         choices = (fixed[v],) if v in fixed else (1, 2, 3)
         done = completes.get(v, ())
-        new = [("t", i) for i in done]
-        grown = tags + placed + [v] + new
-        tags = sorted(tags + new)
-        placed = [u for u in placed + [v] if last[u] > v or held.get(u, -1) > v]
-        kept = [grown.index(x) for x in tags + placed]
-        key = None if kept == list(range(len(grown))) else _picker(kept)
         if not done:
-            steps.append((_picker(idx), lambda seen, ch=choices: tuple(
-                [(c,) for c in ch if c not in seen]), key, len(tags)))
+            steps.append((read, _free_step(shifts, choices, put), keep, live))
             continue
-        nb = len(idx)
-        members = []     # per group: None for v, else a position in ``seen``
+        tagged = []
         for i in done:
-            others = [u for u in groups[i] if u != v]
-            at = iter(range(len(idx), len(idx) + len(others)))
-            members.append([None if u == v else next(at) for u in groups[i]])
-            idx += [slot[u] for u in others]
-        steps.append((_picker(idx), _completing(nb, choices, members, tag), key,
-                      len(tags)))
-    return steps
+            members = [None if u == v else 2 * reg[u] for u in groups[i]]
+            for s in members:
+                if s is not None:
+                    read |= 3 << s
+            offset, _, ids = fields[i]
+            tagged.append((members, offset, ids))
+        steps.append((read, _completing(shifts, choices, put, tagged, tag),
+                      keep, live))
+    return steps, registers, fields
 
 
-def _completing(nb: int, choices: tuple, members: list,
-                tag: Callable) -> Callable:
-    """The extensions of a step at which groups complete, for ``seen``
-    holding ``nb`` neighbour colors and then the other members' colors."""
+def _free_step(shifts: list, choices: tuple, put: int | None) -> Callable:
+    """The extensions of a step at which no group completes: the
+    vertex's color in its register (``put`` is its bit offset, ``None``
+    when no later step reads it) for each color its placed neighbours,
+    at ``shifts``, leave free."""
+    table: dict = {}         # banned colors, as bits 1 to 3 -> extensions
+
     def extensions(seen):
-        banned = seen[:nb]
-        return tuple([(c, *[tag(tuple([c if i is None else seen[i] for i in m]))
-                            for m in members])
-                      for c in choices if c not in banned])
+        banned = 0
+        for s in shifts:
+            banned |= 1 << (seen >> s & 3)
+        exts = table.get(banned)
+        if exts is None:
+            exts = table[banned] = tuple([0 if put is None else c << put
+                                          for c in choices if not banned >> c & 1])
+        return exts
     return extensions
 
 
-_RELABEL = {(a, b): tuple({a: 1, b: 2, 6 - a - b: 3}.get(c, 0) for c in range(4))
-            for a, b in permutations((1, 2, 3), 2)}
-"""Per first two distinct colors ``(a, b)``, the relabeling, indexed by
-color, that maps them to 1 and 2."""
+def _completing(shifts: list, choices: tuple, put: int | None, tagged: list,
+                tag: Callable) -> Callable:
+    """The extensions of a step at which groups complete: as
+    :func:`_free_step`, plus each completing group's interned tag in its
+    field.  ``tagged`` holds per group the bit offsets of its members
+    (``None`` for the vertex itself), its field offset and its ids."""
+    def extensions(seen):
+        banned = 0
+        for s in shifts:
+            banned |= 1 << (seen >> s & 3)
+        out = []
+        for c in choices:
+            if banned >> c & 1:
+                continue
+            bits = 0 if put is None else c << put
+            for members, offset, ids in tagged:
+                t = tag(tuple([c if s is None else seen >> s & 3
+                               for s in members]))
+                bits |= ids.setdefault(t, len(ids)) << offset
+            out.append(bits)
+        return tuple(out)
+    return extensions
 
-_IDENTITY = _RELABEL[1, 2]
-_PERMUTED = [p for p in _RELABEL.values() if p is not _IDENTITY]
-_BY_PREFIX = {pre: _RELABEL[tuple(dict.fromkeys(pre))[:2]]
-              for k in (2, 3) for pre in product((1, 2, 3), repeat=k)
-              if len(set(pre)) > 1}
-"""The relabeling of every color tuple that starts with ``pre``, for the
-prefixes of two or three colors that hold two distinct colors."""
+
+_PERMUTED = [(0, *p) for p in permutations((1, 2, 3)) if p != (1, 2, 3)]
+"""The five color permutations other than the identity, indexed by
+color."""
 
 
 def _color_blind(tag: Callable) -> Callable:
@@ -195,22 +327,37 @@ def _color_blind(tag: Callable) -> Callable:
     return checked
 
 
-def _merge_orbits(states: dict, ntags: int) -> dict:
-    """Relabel the color slots (those after the first ``ntags``) of every
-    state by first occurrence and add the counts that meet."""
-    out: dict = {}
-    get = out.get
-    for state, cnt in states.items():
-        colors = state[ntags:] if ntags else state
-        if colors:
-            p = _BY_PREFIX.get(colors[:3])
-            if p is None:
-                a = colors[0]
-                p = _RELABEL[a, next((c for c in colors if c != a), a % 3 + 1)]
-            if p is not _IDENTITY:
-                state = state[:ntags] + tuple([p[c] for c in colors])
-        out[state] = get(state, 0) + cnt
-    return out
+def _orbit_masks(live: int, low: int) -> tuple[int, int]:
+    """``(ones, bad)`` for states whose registers in use have both bits
+    set in ``live``: a state is the first-occurrence representative of
+    its color orbit, its lowest used register holding color 1 and the
+    first register of another color holding 2, iff ``x & -x & bad`` is
+    0 for ``x = state ^ ones``.  ``ones`` puts color 1 in every used
+    register, so the lowest set bit of ``x`` is the first register not
+    holding 1, or lies above the registers; it is good when it is the
+    low bit of a register after the lowest, which then holds 2."""
+    ones = live & low
+    return ones, low * 3 ^ ones ^ (ones & -ones)
+
+
+def _first_occurrence(state: int, low: int) -> int:
+    """``state`` with its colors relabeled so that its lowest used
+    register holds color 1 and the first register of another color
+    holds 2; ``low`` has the low bit of every register set.  Each
+    relabeling is a swap of two colors, done by XOR on every register
+    at once, and leaves the bits above the registers as they are."""
+    lo = state & low         # registers holding 1 or 3
+    hi = state >> 1 & low    # registers holding 2 or 3
+    first = lo | hi
+    first &= -first
+    if hi & first:
+        # 3 at the lowest register: swap 1 and 3; 2 there: swap 1 and 2
+        state ^= lo << 1 if lo & first else (lo ^ hi) * 3
+        lo = state & low
+        hi = state >> 1 & low
+    if hi & -hi & lo:        # 3 before any 2: swap 2 and 3
+        state ^= hi
+    return state
 
 
 def pinned_counts(g, pinned: Sequence = (),
@@ -231,8 +378,8 @@ def pinned_counts(g, pinned: Sequence = (),
     share vertices) and the keys are tuples of ``tag(colors of the
     group)``, one per group.  A group's tag is taken as soon as its last
     member is placed, and its members then leave the frontier like any
-    other vertex, so the sweep carries one slot per group instead of
-    its colors.  ``tag`` runs per entry of a step's memoized extension
+    other vertex, so the sweep carries one tag field per group instead
+    of its colors.  ``tag`` runs per entry of a step's memoized extension
     table, not per state.
 
     The vertex ids and colors are checked here; the count is
@@ -262,6 +409,11 @@ def sweep(shape: tuple, tag: Callable[[tuple], Hashable] | None,
     as :func:`pinned_counts` returns them.  Without ``tag`` every group
     is one vertex, keyed by its color.
 
+    The vertex order is chosen here, from the shape alone
+    (:func:`_narrowest_bfs`), and not in :func:`sweep_shape`, so that a
+    caller that memoizes results by shape pays nothing for the choice
+    on a hit.
+
     Without fixed colors, ``tag`` must be invariant under color
     permutations: the first time a sweep tags some colors, it also tags
     their five other permutations, and a differing tag raises
@@ -270,37 +422,53 @@ def sweep(shape: tuple, tag: Callable[[tuple], Hashable] | None,
     untagged groups tell the colors apart, so their sweeps keep every
     state.
     """
+    return _sweep_in_order(shape, _narrowest_bfs(shape), tag, budget)
+
+
+def _sweep_in_order(shape: tuple, order: Sequence[int],
+                    tag: Callable[[tuple], Hashable] | None,
+                    budget: int) -> tuple[dict, int]:
+    """:func:`sweep` placing the shape's positions in ``order``."""
     nbrs, groups, fixed = shape
     merge = not fixed and (tag is not None or not groups)
     if tag is None:
         tag = itemgetter(0)
     elif merge:
         tag = _color_blind(tag)
-    states = {(): 1}
+    steps, registers, fields = _plan(_reordered(shape, order), tag)
+    low = ((1 << 2 * registers) - 1) // 3      # the low bit of every register
+    states = {0: 1}
     updates = peak = 0
-    for reads, extensions, key, ntags in _plan(shape, tag):
+    for read, extensions, keep, live in steps:
+        ones, bad = _orbit_masks(live, low)
         nxt: dict = {}
         get = nxt.get
         memo: dict = {}
         for state, cnt in states.items():
-            seen = reads(state)
+            seen = state & read
             exts = memo.get(seen)
             if exts is None:
                 exts = memo[seen] = extensions(seen)
+            state &= keep
             for ext in exts:
-                full = state + ext
-                if key is not None:
-                    full = key(full)
-                nxt[full] = get(full, 0) + cnt
+                ext |= state
+                if merge:
+                    x = ext ^ ones
+                    if x & -x & bad:
+                        ext = _first_occurrence(ext, low)
+                nxt[ext] = get(ext, 0) + cnt
             updates += len(exts)
         if updates > budget:
             raise BudgetExceededError(budget)
-        states = _merge_orbits(nxt, ntags) if merge else nxt
+        states = nxt
         peak = max(peak, len(states))
     log.debug("sweep of %d vertices: %d updates, peak %d live states, "
-              "color orbits %s", len(nbrs), updates, peak,
-              "merged" if merge else "not merged")
-    return states, updates
+              "color orbits %s, BFS root %d, %d registers", len(nbrs), updates,
+              peak, "merged" if merge else "not merged",
+              order[0] if order else 0, registers)
+    names = [(offset, mask, list(ids)) for offset, mask, ids in fields]
+    return ({tuple([tags[state >> offset & mask] for offset, mask, tags in names]):
+             cnt for state, cnt in states.items()}, updates)
 
 
 def count_3_colorings(g, budget: int = DEFAULT_BUDGET) -> int:

@@ -26,7 +26,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, permutations
 from typing import Sequence
 
 from .coloring import DEFAULT_BUDGET, SPECIAL_POSITION, sweep, sweep_shape
@@ -389,11 +389,30 @@ def verify_product_bound(ms: Sequence, kinds: Sequence[str] | None = None) -> Pr
 @cache
 def _doubling_supports() -> tuple:
     """The 2040 zero/one 5x5 patterns with every row and column sum 2,
-    as five column pairs (one per row); built on first use."""
+    as five column pairs (one per row), in ``product`` order; built on
+    first use, row by row, never using a column a third time."""
     pairs = tuple(combinations(range(5), 2))
-    each_twice = sorted(2 * list(range(5)))
-    return tuple(rows for rows in product(pairs, repeat=5)
-                 if sorted(chain.from_iterable(rows)) == each_twice)
+    supports: list = []
+    rows: list = []
+    used = [0] * 5           # the rows so far using each column
+
+    def extend():
+        if len(rows) == 5:   # ten entries, no column more than twice
+            supports.append(tuple(rows))
+            return
+        for pair in pairs:
+            a, b = pair
+            if used[a] < 2 and used[b] < 2:
+                used[a] += 1
+                used[b] += 1
+                rows.append(pair)
+                extend()
+                rows.pop()
+                used[a] -= 1
+                used[b] -= 1
+
+    extend()
+    return tuple(supports)
 
 
 def _doubling_from(support: tuple, digits: int) -> Matrix:

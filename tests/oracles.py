@@ -17,12 +17,17 @@ replaced.  ``compose_by_definition`` is the triple-sum matrix product
 that ``transition.compose`` replaced, and ``per_entry_doubling`` and
 ``per_entry_dominant`` are the samplers that drew one entry per RNG
 call, kept as the reference of ``transition._doubling_from`` and
-``transition._dominant_from``.
+``transition._dominant_from``.  ``reference_sweep`` is the counting
+sweep on state tuples with a separate orbit-merging pass, kept as the
+reference of the register kernel of ``coloring.sweep``, and
+``filtered_doubling_supports`` the sort-and-filter construction of
+``transition._doubling_supports``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import chain, combinations, permutations, product
+from operator import itemgetter
 
 from threecolor import (
     CycleFamily,
@@ -35,7 +40,8 @@ from threecolor import (
     low_degree_set,
     region_partition,
 )
-from threecolor.errors import FalsificationError
+from threecolor.coloring import _color_blind
+from threecolor.errors import BudgetExceededError, FalsificationError
 from threecolor.plane_graph import identify_neighbors, validate_cycle
 from threecolor.transition import BLOCK_DIAGONAL, TransitionMatrix, _doubling_supports
 
@@ -346,3 +352,138 @@ def rescan_partition(g, cycle) -> tuple[frozenset, frozenset, frozenset]:
     interior = frozenset(v for v in g.vertices
                          if v not in boundary and incident[v] & inside)
     return interior, frozenset(g.vertices) - boundary - interior, boundary
+
+
+# ---------------------------------------------------------------------------
+# the counting sweep on state tuples
+# ---------------------------------------------------------------------------
+
+def _picker(idx):
+    """The projection of a state tuple onto the slots ``idx``, as a tuple."""
+    if len(idx) == 1:
+        (i,) = idx
+        return lambda s: (s[i],)
+    if not idx:
+        return lambda s: ()
+    return itemgetter(*idx)
+
+
+def _plan(shape, tag):
+    """Every vertex step of the sweep of ``shape`` in its own order, as
+    ``(reads, extensions, key, ntags)``.  A state holds the tags of the
+    completed groups in group order, then the colors of the placed
+    vertices that are still needed, in placement order."""
+    nbrs, groups, fixed = shape
+    fixed = dict(fixed)
+    last = [max(nb, default=-1) for nb in nbrs]
+    held: dict = {}          # position -> last step at which a group needs it
+    completes: dict = {}     # step -> groups whose last member is placed there
+    for i, grp in enumerate(groups):
+        done = max(grp)
+        completes.setdefault(done, []).append(i)
+        for v in grp:
+            held[v] = max(held.get(v, -1), done)
+    steps = []
+    tags: list = []          # ("t", i) for each completed group i
+    placed: list = []        # placed positions still needed
+    for v, adj in enumerate(map(set, nbrs)):
+        slot = {u: len(tags) + i for i, u in enumerate(placed)}
+        idx = [slot[u] for u in placed if u in adj]
+        choices = (fixed[v],) if v in fixed else (1, 2, 3)
+        done = completes.get(v, ())
+        new = [("t", i) for i in done]
+        grown = tags + placed + [v] + new
+        tags = sorted(tags + new)
+        placed = [u for u in placed + [v] if last[u] > v or held.get(u, -1) > v]
+        kept = [grown.index(x) for x in tags + placed]
+        key = None if kept == list(range(len(grown))) else _picker(kept)
+        if not done:
+            steps.append((_picker(idx), lambda seen, ch=choices: tuple(
+                [(c,) for c in ch if c not in seen]), key, len(tags)))
+            continue
+        nb = len(idx)
+        members = []     # per group: None for v, else a position in ``seen``
+        for i in done:
+            others = [u for u in groups[i] if u != v]
+            at = iter(range(len(idx), len(idx) + len(others)))
+            members.append([None if u == v else next(at) for u in groups[i]])
+            idx += [slot[u] for u in others]
+        steps.append((_picker(idx), _completing(nb, choices, members, tag), key,
+                      len(tags)))
+    return steps
+
+
+def _completing(nb, choices, members, tag):
+    def extensions(seen):
+        banned = seen[:nb]
+        return tuple([(c, *[tag(tuple([c if i is None else seen[i] for i in m]))
+                            for m in members])
+                      for c in choices if c not in banned])
+    return extensions
+
+
+_RELABEL = {(a, b): tuple({a: 1, b: 2, 6 - a - b: 3}.get(c, 0) for c in range(4))
+            for a, b in permutations((1, 2, 3), 2)}
+_IDENTITY = _RELABEL[1, 2]
+_BY_PREFIX = {pre: _RELABEL[tuple(dict.fromkeys(pre))[:2]]
+              for k in (2, 3) for pre in product((1, 2, 3), repeat=k)
+              if len(set(pre)) > 1}
+
+
+def merge_orbits(states, ntags):
+    """Relabel the color slots (those after the first ``ntags``) of every
+    state by first occurrence and add the counts that meet."""
+    out: dict = {}
+    get = out.get
+    for state, cnt in states.items():
+        colors = state[ntags:] if ntags else state
+        if colors:
+            p = _BY_PREFIX.get(colors[:3])
+            if p is None:
+                a = colors[0]
+                p = _RELABEL[a, next((c for c in colors if c != a), a % 3 + 1)]
+            if p is not _IDENTITY:
+                state = state[:ntags] + tuple([p[c] for c in colors])
+        out[state] = get(state, 0) + cnt
+    return out
+
+
+def reference_sweep(shape, tag, budget=10 ** 9):
+    """``(states, updates)`` of the sweep of ``shape`` in the shape's own
+    order, with the guards and the orbit rule of ``coloring.sweep``."""
+    nbrs, groups, fixed = shape
+    merge = not fixed and (tag is not None or not groups)
+    if tag is None:
+        tag = itemgetter(0)
+    elif merge:
+        tag = _color_blind(tag)
+    states = {(): 1}
+    updates = 0
+    for reads, extensions, key, ntags in _plan(shape, tag):
+        nxt: dict = {}
+        get = nxt.get
+        memo: dict = {}
+        for state, cnt in states.items():
+            seen = reads(state)
+            exts = memo.get(seen)
+            if exts is None:
+                exts = memo[seen] = extensions(seen)
+            for ext in exts:
+                full = state + ext
+                if key is not None:
+                    full = key(full)
+                nxt[full] = get(full, 0) + cnt
+            updates += len(exts)
+        if updates > budget:
+            raise BudgetExceededError(budget)
+        states = merge_orbits(nxt, ntags) if merge else nxt
+    return states, updates
+
+
+def filtered_doubling_supports():
+    """The 2040 doubling supports: every product of five column pairs,
+    kept when each column is used exactly twice."""
+    pairs = tuple(combinations(range(5), 2))
+    each_twice = sorted(2 * list(range(5)))
+    return tuple(rows for rows in product(pairs, repeat=5)
+                 if sorted(chain.from_iterable(rows)) == each_twice)

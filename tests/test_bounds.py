@@ -8,6 +8,7 @@ from threecolor import (
     chain_bound,
     count_3_colorings,
     decomposition_sizes_ok,
+    dodecahedron,
     main_bound_value,
     meets_main_bound,
     meets_power_bound,
@@ -139,6 +140,13 @@ def test_verify_budget_covers_count_and_layer_sweeps():
         chain_matrix_total(g, pents, budget=sweep_updates - 1)
     assert 6 * chain_matrix_total(g, pents, budget=sweep_updates) == \
         count_3_colorings(g)
+
+
+def test_dodecahedron_chain_matrix_sweeps_from_its_narrowest_root():
+    # the count keeps breadth-first order from position 0 (735 updates);
+    # the chain matrix sweep starts from position n - 1 and spends 812
+    # updates where position 0 spends 4582
+    assert verify(dodecahedron()).budget_used == 735 + 812
 
 
 def test_chain_matrix_total_is_a_lower_bound_mechanism():

@@ -1,3 +1,4 @@
+import logging
 from collections import Counter
 from itertools import permutations, product
 
@@ -29,6 +30,14 @@ from threecolor import (
     special_data,
     switch_component,
 )
+from threecolor.coloring import (
+    _bfs_from,
+    _first_occurrence,
+    _narrowest_bfs,
+    _orbit_masks,
+    _sweep_in_order,
+    sweep_shape,
+)
 from threecolor.generators import garden_pentagons
 from threecolor.plane_graph import identify_neighbors
 
@@ -41,10 +50,21 @@ from builders import (
     single_edge,
     single_vertex,
 )
-from oracles import scan_count_colorings, special_vertex_by_definition
+from oracles import reference_sweep, scan_count_colorings, special_vertex_by_definition
 
 PENTAGON_PATTERNS = [p for p in product((1, 2, 3), repeat=5)
                      if all(p[i] != p[(i + 1) % 5] for i in range(5))]
+
+# color-blind tags: the first-occurrence pattern and the number of colors
+COLOR_BLIND_TAGS = (lambda cols: tuple(cols.index(c) for c in cols),
+                    lambda cols: len(set(cols)))
+
+
+def bfs_sweep(g, groups, fixed=None, tag=None):
+    """``(states, updates)`` of the sweep of ``g`` in its shape's own
+    breadth-first order, bypassing the choice of order."""
+    shape = sweep_shape(g, groups, fixed)
+    return _sweep_in_order(shape, range(len(shape[0])), tag, 10 ** 9)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +150,14 @@ def test_sweep_count_matches_enumeration_and_scan(g):
     assert count_3_colorings(g) == len(cols) == len(set(cols))
     if g.n <= 10:        # the 3**n scan is too slow beyond this
         assert count_3_colorings(g) == scan_count_colorings(g)
+    # the chosen order and every candidate order give the same count
+    shape = sweep_shape(g, ())
+    n = len(shape[0])
+    orders = [_narrowest_bfs(shape), range(n)]
+    orders += [_bfs_from(shape[0], r)[0] for r in (n // 3, 2 * n // 3, n - 1)]
+    for order in orders:
+        states, _ = _sweep_in_order(shape, order, None, 10 ** 9)
+        assert states == {(): len(cols)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,9 +170,11 @@ def test_orbit_merged_count_matches_unmerged_sweep(g, data):
     # colors apart, so its sweep keeps every state
     merged = count_3_colorings_detailed(g)
     v = data.draw(st.sampled_from(sorted(g.vertices)))
-    by_color, unmerged_updates = pinned_counts(g, [v])
+    by_color, _ = pinned_counts(g, [v])
     assert by_color == {(c,): merged.count // 3 for c in (1, 2, 3)}
-    assert merged.nodes <= unmerged_updates
+    # the two shapes may choose different orders; in one order the
+    # merged sweep spends no more updates
+    assert bfs_sweep(g, [])[1] <= bfs_sweep(g, [(v,)])[1]
     if g.n <= 15:
         assert merged.count == sum(1 for _ in enumerate_3_colorings(g))
     if g.n <= 10:
@@ -178,20 +208,61 @@ def test_tagged_groups_match_hand_bucketed_pins(data):
         st.lists(st.sampled_from(verts), min_size=1, max_size=5).map(tuple),
         max_size=3))
     flat = [v for grp in groups for v in grp]
-    plain, plain_updates = pinned_counts(g, flat, fixed)
-    # color-blind tags: the first-occurrence pattern and the number of colors
-    for tag in (lambda cols: tuple(cols.index(c) for c in cols),
-                lambda cols: len(set(cols))):
+    plain, _ = pinned_counts(g, flat, fixed)
+    plain_updates = bfs_sweep(g, [(v,) for v in flat], fixed)[1]
+    for tag in COLOR_BLIND_TAGS:
         expected = Counter()
         for colors, cnt in plain.items():
             it = iter(colors)
             expected[tuple(tag(tuple(next(it) for _ in grp))
                            for grp in groups)] += cnt
-        got, updates = pinned_counts(g, groups, fixed, tag=tag)
+        got, _ = pinned_counts(g, groups, fixed, tag=tag)
         assert got == expected
         # a tagged state is a function of the untagged one, and without
-        # fixed colors the tagged sweep also keeps one state per color orbit
-        assert updates <= plain_updates
+        # fixed colors the tagged sweep also keeps one state per color
+        # orbit; the two shapes may choose different orders, so the
+        # updates are compared in one order
+        assert bfs_sweep(g, groups, fixed, tag)[1] <= plain_updates
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_register_kernel_matches_tuple_kernel(data):
+    # in the shape's own order both kernels visit the same orbits, so
+    # they agree on the states and on the updates
+    g = data.draw(count_inputs())
+    verts = sorted(g.vertices)
+    fixed_at = data.draw(st.lists(st.sampled_from(verts), unique=True, max_size=3))
+    fixed = {v: data.draw(st.integers(1, 3)) for v in fixed_at}
+    groups = data.draw(st.lists(
+        st.lists(st.sampled_from(verts), min_size=1, max_size=5).map(tuple),
+        max_size=3))
+    tag = data.draw(st.sampled_from((None,) + COLOR_BLIND_TAGS))
+    if tag is None:
+        groups = [(v,) for grp in groups for v in grp]
+    shape = sweep_shape(g, groups, fixed)
+    want = reference_sweep(shape, tag)
+    assert _sweep_in_order(shape, range(len(shape[0])), tag, 10 ** 9) == want
+    pins = [v for (v,) in groups] if tag is None else groups
+    assert pinned_counts(g, pins, fixed, tag=tag)[0] == want[0]
+
+
+def test_orbit_representative_is_first_occurrence_on_every_word():
+    # every word of at most 8 registers, with a tag bit above them that
+    # the relabeling must keep
+    low = 0x5555
+    for live in range(1 << 8):
+        regs = [r for r in range(8) if live >> r & 1]
+        ones, bad = _orbit_masks(sum(3 << 2 * r for r in regs), low)
+        for cols in product((1, 2, 3), repeat=len(regs)):
+            relabel = {}
+            for c in cols:
+                relabel.setdefault(c, len(relabel) + 1)
+            word = sum(c << 2 * r for r, c in zip(regs, cols)) | 1 << 16
+            want = sum(relabel[c] << 2 * r for r, c in zip(regs, cols)) | 1 << 16
+            assert _first_occurrence(word, low) == want
+            x = word ^ ones
+            assert (not x & -x & bad) == (word == want)
 
 
 @pytest.mark.parametrize("tag", [lambda cols: cols, lambda cols: sum(cols) % 3])
@@ -218,6 +289,20 @@ def test_state_update_counts_are_pinned():
     for k, nodes in zip(range(3, 7), (191, 310, 429, 548)):
         assert count_3_colorings_detailed(pentagon_tower(k)).nodes == nodes
     assert count_3_colorings_detailed(dodecahedron()).nodes == 735
+
+
+def test_sweep_logs_its_root_and_register_count(caplog):
+    # after the fields it always had, the debug line names the position
+    # the sweep order starts from and the number of registers, the peak
+    # frontier width
+    with caplog.at_level(logging.DEBUG, logger="threecolor.coloring"):
+        count_3_colorings(pentagon_tower(2))
+        count_3_colorings(dodecahedron())
+    assert [r.getMessage() for r in caplog.records] == [
+        "sweep of 10 vertices: 62 updates, peak 9 live states, "
+        "color orbits merged, BFS root 3, 4 registers",
+        "sweep of 20 vertices: 735 updates, peak 54 live states, "
+        "color orbits merged, BFS root 0, 6 registers"]
 
 
 def test_budget_error():

@@ -54,6 +54,7 @@ from threecolor.transition import (
 from builders import annulus_instances
 from oracles import (
     compose_by_definition,
+    filtered_doubling_supports,
     pattern_transition_entries,
     per_entry_doubling,
     per_entry_dominant,
@@ -650,6 +651,11 @@ def test_dominant_builder_matches_the_per_entry_sampler():
             for tau in permutations(range(5)):
                 old = per_entry_dominant(ScriptedRandom((sigma, tau), noise))
                 assert _dominant_from(sigma, tau, mask) == old
+
+
+def test_doubling_supports_match_the_filtered_products():
+    # backtracking yields the same supports in the same order
+    assert _doubling_supports() == filtered_doubling_supports()
 
 
 def test_doubling_builder_matches_the_per_entry_sampler():
