@@ -7,9 +7,9 @@ maps each coloring of the frontier to the number of proper colorings of
 the placed vertices that induce it.  Counts are exact Python integers.
 Each pinned vertex, or each pinned group of vertices reduced to a tag
 of its colors, is held from the step its last member is placed until
-the end, so one sweep splits the count by the pinned colors or tags:
-this serves full counts, boundary counts, the extension test and
-transition matrices.
+the end, so one sweep splits the count by the pinned colors or tags.
+Full counts, boundary counts and the extension test (by fixed colors)
+and transition matrices (by tagged groups) are each one sweep.
 
 A sweep reads its graph once, into a shape (:func:`sweep_shape`): the
 graph in breadth-first positions from the least vertex.  :func:`sweep`
@@ -18,7 +18,8 @@ least estimated state count among breadth-first search from position
 0, n//3, 2n//3 and n-1; equal shapes therefore sweep identically, and
 a caller that memoizes by shape pays nothing for the choice on a hit.
 What each step does to the frontier is then planned from positions,
-before any state is visited.
+before any state is visited, in the chosen order itself (any
+permutation of the positions will do): no shape is renumbered.
 
 A state is one int.  Each frontier vertex holds a fixed 2-bit register
 for its whole time on the frontier (the lowest one free when it is
@@ -168,23 +169,11 @@ def _narrowest_bfs(shape: tuple) -> list:
     return best
 
 
-def _reordered(shape: tuple, order: Sequence[int]) -> tuple:
-    """``shape`` with its positions renumbered by their place in
-    ``order``."""
-    nbrs, groups, fixed = shape
-    if all(t == v for t, v in enumerate(order)):
-        return shape
-    at = [0] * len(nbrs)
-    for t, v in enumerate(order):
-        at[v] = t
-    return (tuple(tuple(sorted([at[w] for w in nbrs[v]])) for v in order),
-            tuple(tuple(at[v] for v in grp) for grp in groups),
-            tuple(sorted((at[v], c) for v, c in fixed)))
-
-
-def _plan(shape: tuple, tag: Callable) -> tuple:
-    """Plan every vertex step of the sweep of ``shape`` in the shape's
-    own order, and the layout of its states, from positions alone.
+def _plan(shape: tuple, order: Sequence[int], tag: Callable) -> tuple:
+    """Plan every vertex step of the sweep of ``shape`` placing its
+    positions in ``order``, and the layout of its states.  Step
+    ``at[v]`` places ``v`` after each neighbour ``u`` with ``at[u] <
+    at[v]``; a group completes at ``max(at[m])`` over its members.
 
     Returns ``(steps, registers, fields)``.  A state is one int.  Each
     placed vertex whose color a later step reads holds a 2-bit register
@@ -204,20 +193,24 @@ def _plan(shape: tuple, tag: Callable) -> tuple:
     nbrs, groups, fixed = shape
     n = len(nbrs)
     fixed = dict(fixed)
-    leave = [max(nb, default=-1) for nb in nbrs]   # last step reading v
+    at = [0] * n
+    for t, v in enumerate(order):
+        at[v] = t
+    step = at.__getitem__
+    leave = [max(map(step, nb), default=-1) for nb in nbrs]   # last step reading v
     completes: dict = {}     # step -> groups whose last member is placed there
     for i, grp in enumerate(groups):
-        done = max(grp)
+        done = max(map(step, grp))
         completes.setdefault(done, []).append(i)
         for v in grp:
             leave[v] = max(leave[v], done)
     reg: list = [None] * n
     retiring: dict = {}      # step -> vertices read there for the last time
     used = registers = 0
-    for v in range(n):
-        for u in retiring.get(v, ()):
+    for t, v in enumerate(order):
+        for u in retiring.get(t, ()):
             used ^= 1 << reg[u]
-        if leave[v] > v:
+        if leave[v] > t:
             r = reg[v] = (~used & (used + 1)).bit_length() - 1
             used |= 1 << r
             registers = max(registers, r + 1)
@@ -231,58 +224,38 @@ def _plan(shape: tuple, tag: Callable) -> tuple:
     tags = (1 << top) - (1 << 2 * registers)
     live = 0                 # the registers in use
     steps = []
-    for v in range(n):
-        shifts = [2 * reg[u] for u in nbrs[v] if u < v]
+    for t, v in enumerate(order):
+        shifts = [2 * reg[u] for u in nbrs[v] if at[u] < t]
         read = sum([3 << s for s in shifts])
-        for u in retiring.get(v, ()):
+        for u in retiring.get(t, ()):
             live ^= 3 << 2 * reg[u]
         keep = live | tags
         put = None if reg[v] is None else 2 * reg[v]
         if put is not None:
             live |= 3 << put
         choices = (fixed[v],) if v in fixed else (1, 2, 3)
-        done = completes.get(v, ())
-        if not done:
-            steps.append((read, _free_step(shifts, choices, put), keep, live))
-            continue
         tagged = []
-        for i in done:
+        for i in completes.get(t, ()):
             members = [None if u == v else 2 * reg[u] for u in groups[i]]
             for s in members:
                 if s is not None:
                     read |= 3 << s
             offset, _, ids = fields[i]
             tagged.append((members, offset, ids))
-        steps.append((read, _completing(shifts, choices, put, tagged, tag),
+        steps.append((read, _extensions(shifts, choices, put, tagged, tag),
                       keep, live))
     return steps, registers, fields
 
 
-def _free_step(shifts: list, choices: tuple, put: int | None) -> Callable:
-    """The extensions of a step at which no group completes: the
-    vertex's color in its register (``put`` is its bit offset, ``None``
-    when no later step reads it) for each color its placed neighbours,
-    at ``shifts``, leave free."""
-    table: dict = {}         # banned colors, as bits 1 to 3 -> extensions
-
-    def extensions(seen):
-        banned = 0
-        for s in shifts:
-            banned |= 1 << (seen >> s & 3)
-        exts = table.get(banned)
-        if exts is None:
-            exts = table[banned] = tuple([0 if put is None else c << put
-                                          for c in choices if not banned >> c & 1])
-        return exts
-    return extensions
-
-
-def _completing(shifts: list, choices: tuple, put: int | None, tagged: list,
+def _extensions(shifts: list, choices: tuple, put: int | None, tagged: list,
                 tag: Callable) -> Callable:
-    """The extensions of a step at which groups complete: as
-    :func:`_free_step`, plus each completing group's interned tag in its
-    field.  ``tagged`` holds per group the bit offsets of its members
-    (``None`` for the vertex itself), its field offset and its ids."""
+    """The extensions of a step: the vertex's color in its register
+    (``put`` is its bit offset, ``None`` when no later step reads it)
+    for each color its placed neighbours, at ``shifts``, leave free,
+    plus each completing group's interned tag in its field.  ``tagged``
+    holds per group completing at the step the bit offsets of its
+    members (``None`` for the vertex itself), its field offset and its
+    ids; it is empty where no group completes."""
     def extensions(seen):
         banned = 0
         for s in shifts:
@@ -435,7 +408,7 @@ def _sweep_in_order(shape: tuple, order: Sequence[int],
         tag = itemgetter(0)
     elif merge:
         tag = _color_blind(tag)
-    steps, registers, fields = _plan(_reordered(shape, order), tag)
+    steps, registers, fields = _plan(shape, order, tag)
     low = ((1 << 2 * registers) - 1) // 3      # the low bit of every register
     states = {0: 1}
     updates = peak = 0

@@ -557,12 +557,14 @@ def region_partition(g: PlaneGraph, cycle: Sequence[int]) -> RegionPartition:
     x leaves F, and all faces of x lie on one side.  An edge x-y with x,
     y off C lies on a face of both, which puts x and y on the same side.
 
-    Memoized per graph and cycle once the guards passed.
+    Memoized per graph and cycle once the guards passed; a memoized
+    cycle is returned before its edges are checked again.
     """
-    c = validate_cycle(g, cycle)
+    c = canonical_cycle(cycle)
     parts = g._regions.get(c)
     if parts is not None:
         return parts
+    validate_cycle(g, c)
     t = g.dual_tree
     edges = list(zip(c, c[1:] + c[:1]))
     faces = verts = cut = off_tree = 0

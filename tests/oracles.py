@@ -19,7 +19,8 @@ that ``transition.compose`` replaced, and ``per_entry_doubling`` and
 call, kept as the reference of ``transition._doubling_from`` and
 ``transition._dominant_from``.  ``reference_sweep`` is the counting
 sweep on state tuples with a separate orbit-merging pass, kept as the
-reference of the register kernel of ``coloring.sweep``, and
+reference of the register kernel of ``coloring.sweep`` (``renumbered``
+carries a shape into any vertex order for it), and
 ``filtered_doubling_supports`` the sort-and-filter construction of
 ``transition._doubling_supports``.
 """
@@ -446,6 +447,16 @@ def merge_orbits(states, ntags):
                 state = state[:ntags] + tuple([p[c] for c in colors])
         out[state] = get(state, 0) + cnt
     return out
+
+
+def renumbered(shape, order):
+    """``shape`` with position ``order[t]`` renamed ``t``: sweeping it in
+    its own order places the positions of ``shape`` in ``order``."""
+    nbrs, groups, fixed = shape
+    at = {v: t for t, v in enumerate(order)}
+    return (tuple(tuple(sorted(at[w] for w in nbrs[v])) for v in order),
+            tuple(tuple(at[v] for v in grp) for grp in groups),
+            tuple(sorted((at[v], c) for v, c in fixed)))
 
 
 def reference_sweep(shape, tag, budget=10 ** 9):

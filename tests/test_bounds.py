@@ -149,6 +149,23 @@ def test_dodecahedron_chain_matrix_sweeps_from_its_narrowest_root():
     assert verify(dodecahedron()).budget_used == 735 + 812
 
 
+CORPUS_BUDGET_USED = {
+    "tower1": 14, "tower2": 192, "tower3": 451, "tower4": 700,
+    "tower5": 949, "tower6": 1198, "tower7": 1447, "tower8": 1696,
+    "garden1": 25, "garden2": 40, "garden3": 141,
+    "dodecahedron": 1547, "shared_path": 43,
+    "perturbed3_s1": 257, "perturbed4_s2": 592, "perturbed4_s3": 351,
+    "perturbed5_s5": 529,
+}
+
+
+def test_budget_used_is_pinned_on_the_whole_corpus(corpus):
+    # ``budget_used`` is the sum of the state updates of the count and of
+    # the chain matrix sweeps, so it moves with any change to the order a
+    # sweep is planned in, its orbit rule or the transition memo
+    assert {name: verify(g).budget_used for name, g in corpus} == CORPUS_BUDGET_USED
+
+
 def test_chain_matrix_total_is_a_lower_bound_mechanism():
     g = pentagon_tower(4)
     from threecolor import extract, dilworth_decompose

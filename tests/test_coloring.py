@@ -50,7 +50,12 @@ from builders import (
     single_edge,
     single_vertex,
 )
-from oracles import reference_sweep, scan_count_colorings, special_vertex_by_definition
+from oracles import (
+    reference_sweep,
+    renumbered,
+    scan_count_colorings,
+    special_vertex_by_definition,
+)
 
 PENTAGON_PATTERNS = [p for p in product((1, 2, 3), repeat=5)
                      if all(p[i] != p[(i + 1) % 5] for i in range(5))]
@@ -225,11 +230,9 @@ def test_tagged_groups_match_hand_bucketed_pins(data):
         assert bfs_sweep(g, groups, fixed, tag)[1] <= plain_updates
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_register_kernel_matches_tuple_kernel(data):
-    # in the shape's own order both kernels visit the same orbits, so
-    # they agree on the states and on the updates
+def draw_sweep_input(data):
+    """A graph, its groups (untagged pins or groups for a color-blind
+    tag), fixed colors and the tag (``None`` for untagged pins)."""
     g = data.draw(count_inputs())
     verts = sorted(g.vertices)
     fixed_at = data.draw(st.lists(st.sampled_from(verts), unique=True, max_size=3))
@@ -240,11 +243,33 @@ def test_register_kernel_matches_tuple_kernel(data):
     tag = data.draw(st.sampled_from((None,) + COLOR_BLIND_TAGS))
     if tag is None:
         groups = [(v,) for grp in groups for v in grp]
+    return g, groups, fixed, tag
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_register_kernel_matches_tuple_kernel(data):
+    # in the shape's own order both kernels visit the same orbits, so
+    # they agree on the states and on the updates
+    g, groups, fixed, tag = draw_sweep_input(data)
     shape = sweep_shape(g, groups, fixed)
     want = reference_sweep(shape, tag)
     assert _sweep_in_order(shape, range(len(shape[0])), tag, 10 ** 9) == want
     pins = [v for (v,) in groups] if tag is None else groups
     assert pinned_counts(g, pins, fixed, tag=tag)[0] == want[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_any_order_matches_tuple_kernel_on_renumbered_shape(data):
+    # the plan reads any permutation of the positions directly; the tuple
+    # kernel sweeps the shape renumbered by it in its own order, so the
+    # two place the same vertices in the same order
+    g, groups, fixed, tag = draw_sweep_input(data)
+    shape = sweep_shape(g, groups, fixed)
+    perm = data.draw(st.permutations(range(len(shape[0]))))
+    assert _sweep_in_order(shape, perm, tag, 10 ** 9) == \
+        reference_sweep(renumbered(shape, perm), tag)
 
 
 def test_orbit_representative_is_first_occurrence_on_every_word():
