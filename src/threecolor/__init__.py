@@ -23,11 +23,9 @@ from .bounds import (
 )
 from .coloring import (
     DEFAULT_BUDGET,
-    BichromaticComponent,
     SpecialData,
     bichromatic_components,
     coloring_to_json,
-    colorings_from_switching,
     count_3_colorings,
     count_3_colorings_detailed,
     count_with_boundary,
@@ -37,7 +35,7 @@ from .coloring import (
     load_coloring,
     pinned_counts,
     special_data,
-    switch_component,
+    switching_count,
 )
 from .errors import BudgetExceededError, FalsificationError, GraphFormatError
 from .generators import (

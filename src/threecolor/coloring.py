@@ -573,23 +573,12 @@ def extends(g: PlaneGraph, cycle: Sequence[int], boundary: Mapping[int, int],
 # bichromatic components and switching
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BichromaticComponent:
-    """A connected component of the subgraph induced by two color classes."""
-
-    vertices: frozenset
-    colors: tuple
-
-    def __len__(self):
-        return len(self.vertices)
-
-
-def bichromatic_components(g, coloring, i: int, j: int) -> list[BichromaticComponent]:
-    """Components of the subgraph induced by the vertices colored i or j."""
+def bichromatic_components(g, coloring, i: int, j: int) -> list[frozenset]:
+    """The vertex sets of the components of the subgraph induced by the
+    vertices colored i or j, in order of least vertex."""
     if i == j:
         raise ValueError("need two distinct colors")
-    pair = (min(i, j), max(i, j))
-    keep = {v for v in g.vertices if coloring[v] in pair}
+    keep = {v for v in g.vertices if coloring[v] in (i, j)}
     seen: set = set()
     comps = []
     for v in sorted(keep):
@@ -605,52 +594,21 @@ def bichromatic_components(g, coloring, i: int, j: int) -> list[BichromaticCompo
                     seen.add(w)
                     comp.add(w)
                     stack.append(w)
-        comps.append(BichromaticComponent(vertices=frozenset(comp), colors=pair))
+        comps.append(frozenset(comp))
     return comps
 
 
-def switch_component(coloring, component: BichromaticComponent) -> tuple:
-    """Swap the component's two colors on its vertices.
+def switching_count(g, coloring) -> int:
+    """The number t of components of the best bichromatic pair: the
+    most over the pairs (1, 2), (1, 3) and (2, 3).
 
-    Properness is preserved: neighbours outside a maximal component
-    carry the third color.
+    Swapping the two colors on any subset of these components keeps the
+    coloring proper (neighbours outside a maximal component carry the
+    third color) and gives 2**t distinct colorings; the antichain bound
+    reads t alone.
     """
-    i, j = component.colors
-    swap = {i: j, j: i}
-    return tuple(swap.get(c, c) if v in component.vertices else c
-                 for v, c in enumerate(coloring))
-
-
-def colorings_from_switching(g, coloring, family_size: int | None = None) -> set:
-    """All colorings reachable by switching subsets of the components of
-    the best bichromatic pair.
-
-    Picks the color pair with the most components (ties: lexicographically
-    least pair) and returns the full switch lattice, ``2**t`` distinct
-    proper colorings.  When ``family_size`` is given, a best pair with
-    fewer than ``family_size / 6`` components is reported as a
-    falsification of the expected component bound.
-    """
-    best_pair = None
-    best_comps: list[BichromaticComponent] = []
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        comps = bichromatic_components(g, coloring, i, j)
-        if best_pair is None or len(comps) > len(best_comps):
-            best_pair, best_comps = (i, j), comps
-    t = len(best_comps)
-    if family_size is not None and 6 * t < family_size:
-        log.error("switching pair %s has %d components, below the expected "
-                  "family_size/6 = %s", best_pair, t, family_size / 6)
-    if t > 20:
-        raise ValueError(f"refusing to materialize 2**{t} colorings")
-    out = set()
-    for mask in range(1 << t):
-        cur = coloring if isinstance(coloring, tuple) else tuple(coloring)
-        for b in range(t):
-            if mask >> b & 1:
-                cur = switch_component(cur, best_comps[b])
-        out.add(cur)
-    return out
+    return max(len(bichromatic_components(g, coloring, i, j))
+               for i, j in ((1, 2), (1, 3), (2, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .plane_graph import (
     low_degree_set,
     mask_members,
     region_partition,
-    validate_cycle,
 )
 
 
@@ -198,10 +197,12 @@ def _forest(g: PlaneGraph, family: Sequence) -> ContainmentForest | None:
     result is laminar iff each member lies inside its parent and the
     children of each parent (and the roots) are pairwise disjoint: then
     two members are nested along a path, or lie inside disjoint
-    siblings.  All of it works on interior face masks.
+    siblings.  All of it works on interior face masks, read with each
+    member's canonical form from its region partition, which checks
+    that the member is a cycle of ``g`` (a memoized one already passed).
     """
-    cycles = sorted({validate_cycle(g, c) for c in family})
-    faces = {c: region_partition(g, c).face_mask for c in cycles}
+    faces = {r.cycle: r.face_mask for r in (region_partition(g, c) for c in family)}
+    cycles = sorted(faces)
     order = sorted(cycles, key=lambda c: (-faces[c].bit_count(), c))
     forest = ContainmentForest(children={c: [] for c in cycles})
     adopted: dict = {}

@@ -22,7 +22,9 @@ sweep on state tuples with a separate orbit-merging pass, kept as the
 reference of the register kernel of ``coloring.sweep`` (``renumbered``
 carries a shape into any vertex order for it), and
 ``filtered_doubling_supports`` the sort-and-filter construction of
-``transition._doubling_supports``.
+``transition._doubling_supports``.  ``switch_lattice`` builds the 2**t
+colorings of the best bichromatic pair that ``coloring.switching_count``
+only counts, with ``switch_component`` as its component swap.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from threecolor import (
     CycleFamily,
     LaminarOutcome,
     PlaneGraph,
+    bichromatic_components,
     canonical_cycle,
     count_with_boundary,
     enumerate_cycles,
@@ -498,3 +501,31 @@ def filtered_doubling_supports():
     each_twice = sorted(2 * list(range(5)))
     return tuple(rows for rows in product(pairs, repeat=5)
                  if sorted(chain.from_iterable(rows)) == each_twice)
+
+
+def switch_component(coloring, component, i, j) -> tuple:
+    """Swap colors i and j on the vertices of one of their bichromatic
+    components; neighbours outside a maximal component carry the third
+    color, so the result stays proper."""
+    swap = {i: j, j: i}
+    return tuple(swap.get(c, c) if v in component else c
+                 for v, c in enumerate(coloring))
+
+
+def switch_lattice(g, coloring) -> set:
+    """Every coloring reached by switching a subset of the components of
+    the best bichromatic pair: the pair with the most components, ties
+    to the least pair.  Its size is 2**t for t components."""
+    best = max(((1, 2), (1, 3), (2, 3)),
+               key=lambda p: len(bichromatic_components(g, coloring, *p)))
+    comps = bichromatic_components(g, coloring, *best)
+    if len(comps) > 20:
+        raise ValueError(f"refusing to materialize 2**{len(comps)} colorings")
+    out = set()
+    for mask in range(1 << len(comps)):
+        cur = tuple(coloring)
+        for b, comp in enumerate(comps):
+            if mask >> b & 1:
+                cur = switch_component(cur, comp, *best)
+        out.add(cur)
+    return out

@@ -1,6 +1,6 @@
 import logging
 from collections import Counter
-from itertools import permutations, product
+from itertools import chain, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,6 @@ from threecolor import (
     GraphFormatError,
     bichromatic_components,
     coloring_to_json,
-    colorings_from_switching,
     count_3_colorings,
     count_3_colorings_detailed,
     count_with_boundary,
@@ -28,7 +27,7 @@ from threecolor import (
     region_graph,
     shared_path_pentagons,
     special_data,
-    switch_component,
+    switching_count,
 )
 from threecolor.coloring import (
     _bfs_from,
@@ -55,6 +54,8 @@ from oracles import (
     renumbered,
     scan_count_colorings,
     special_vertex_by_definition,
+    switch_component,
+    switch_lattice,
 )
 
 PENTAGON_PATTERNS = [p for p in product((1, 2, 3), repeat=5)
@@ -461,8 +462,8 @@ def test_extends_rejects_non_facial_cycle():
 def test_bichromatic_edge_swap():
     g = single_edge()
     comps = bichromatic_components(g, (1, 2), 1, 2)
-    assert len(comps) == 1 and comps[0].vertices == frozenset({0, 1})
-    assert switch_component((1, 2), comps[0]) == (2, 1)
+    assert comps == [frozenset({0, 1})]
+    assert switch_component((1, 2), comps[0], 1, 2) == (2, 1)
 
 
 def test_bichromatic_pairs_on_square():
@@ -471,7 +472,10 @@ def test_bichromatic_pairs_on_square():
     assert bichromatic_components(g, coloring, 3, 2) == \
         bichromatic_components(g, coloring, 2, 3)
     # color-1 vertices are non-adjacent: two singleton components
-    assert len(bichromatic_components(g, coloring, 1, 3)) == 2
+    assert bichromatic_components(g, coloring, 1, 3) == \
+        [frozenset({0}), frozenset({2})]
+    with pytest.raises(ValueError, match="two distinct colors"):
+        bichromatic_components(g, coloring, 2, 2)
 
 
 def test_bichromatic_unused_pair_is_empty():
@@ -483,9 +487,8 @@ def test_pentagon_component_switch():
     g = cycle_graph(5)
     coloring = (1, 2, 1, 2, 3)
     comps = bichromatic_components(g, coloring, 1, 2)
-    assert len(comps) == 1
-    assert comps[0].vertices == frozenset({0, 1, 2, 3})
-    assert switch_component(coloring, comps[0]) == (2, 1, 2, 1, 3)
+    assert comps == [frozenset({0, 1, 2, 3})]
+    assert switch_component(coloring, comps[0], 1, 2) == (2, 1, 2, 1, 3)
 
 
 def test_switch_component_is_involution():
@@ -493,18 +496,19 @@ def test_switch_component_is_involution():
     coloring = next(enumerate_3_colorings(g))
     for i, j in ((1, 2), (1, 3), (2, 3)):
         for comp in bichromatic_components(g, coloring, i, j):
-            flipped = switch_component(coloring, comp)
+            flipped = switch_component(coloring, comp, i, j)
             assert is_proper(g, flipped)
-            assert switch_component(flipped, comp) == coloring
+            assert switch_component(flipped, comp, i, j) == coloring
 
 
 def test_switching_lattice_size_and_properness():
     g = pentagon_garden(2)
     coloring = next(enumerate_3_colorings(g))
-    best = max(len(bichromatic_components(g, coloring, i, j))
-               for i, j in ((1, 2), (1, 3), (2, 3)))
-    got = colorings_from_switching(g, coloring)
-    assert len(got) == 2 ** best
+    t = switching_count(g, coloring)
+    assert t == max(len(bichromatic_components(g, coloring, i, j))
+                    for i, j in ((1, 2), (1, 3), (2, 3)))
+    got = switch_lattice(g, coloring)
+    assert len(got) == 2 ** t
     assert all(is_proper(g, c) for c in got)
 
 
@@ -512,8 +516,38 @@ def test_switching_single_vertex():
     # pairs (1,2) and (1,3) both have one component (the vertex); the tie
     # goes to (1,2), whose switch lattice has two colorings
     g = single_vertex()
-    got = colorings_from_switching(g, (1,))
-    assert got == {(1,), (2,)}
+    assert switching_count(g, (1,)) == 1
+    assert switch_lattice(g, (1,)) == {(1,), (2,)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_inputs(), st.integers(1, 5))
+def test_switching_count_matches_lattice(g, k):
+    verts = set(g.vertices)
+    for coloring in islice(enumerate_3_colorings(g), k):
+        t = switching_count(g, coloring)
+        if t <= 12:
+            assert 2 ** t == len(switch_lattice(g, coloring))
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            comps = bichromatic_components(g, coloring, i, j)
+            # the components partition the vertices of the two colors
+            assert sorted(chain.from_iterable(comps)) == \
+                sorted(v for v in verts if coloring[v] in (i, j))
+            assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+            where = {v: n for n, comp in enumerate(comps) for v in comp}
+            for comp in comps:
+                # connected: a search inside the component reaches all of it
+                reached = {min(comp)}
+                stack = [min(comp)]
+                while stack:
+                    for w in g.neighbors(stack.pop()):
+                        if w in comp and w not in reached:
+                            reached.add(w)
+                            stack.append(w)
+                assert reached == comp
+            # no edge joins two components of the pair
+            assert all(where[u] == where[w] for u in where
+                       for w in g.neighbors(u) if w in where)
 
 
 def test_delete_interiors_empties_nested_pairs():
@@ -546,9 +580,8 @@ def test_switching_pipeline_on_emptied_antichain():
                    for i in range(2)]
     reduced = region_graph(g, None, outer_pents)
     coloring = next(enumerate_3_colorings(reduced))
-    got = colorings_from_switching(reduced, coloring, family_size=2)
-    assert len(got) >= 2 ** (2 / 6)
-    assert all(is_proper(reduced, c) for c in got)
+    assert 6 * switching_count(reduced, coloring) >= 2
+    assert all(is_proper(reduced, c) for c in switch_lattice(reduced, coloring))
 
 
 def test_enumerate_matches_count_on_perturbed():
@@ -566,8 +599,7 @@ def test_switching_on_garden_reaches_component_bound(corpus):
         pents = garden_pentagons(g, k)
         reduced = region_graph(g, None, pents)
         coloring = next(enumerate_3_colorings(reduced))
-        got = colorings_from_switching(reduced, coloring, family_size=k)
-        assert len(got) >= 2 ** (k / 6)
+        assert 6 * switching_count(reduced, coloring) >= k
 
 
 # ---------------------------------------------------------------------------

@@ -176,9 +176,18 @@ def test_forest_rejects_crossing_family():
 
 
 def test_is_laminar_rejects_non_cycles():
+    # each member is validated by its region partition, before or after
+    # a valid member whose partition is already memoized
     g = pentagon_tower(2)
-    with pytest.raises(ValueError):
-        is_laminar(g, [(0, 1, 2)])
+    p0 = tuple(g.index(f"v0.{j}") for j in range(5))
+    is_laminar(g, [p0])
+    for family, edge in (([(0, 1, 2)], "v0.2-v0.0"),
+                         ([p0, (0, 1, 2)], "v0.2-v0.0"),
+                         ([p0, (1, 0, 2, 3)], "v0.1-v0.3")):
+        for check in (is_laminar, containment_forest):
+            with pytest.raises(ValueError, match=f"^not a cycle of the graph: "
+                               f"{edge} is not an edge$"):
+                check(g, family)
 
 
 def test_extract_rejects_crossing_family(monkeypatch):
