@@ -63,7 +63,6 @@ from .plane_graph import (
     RegionPartition,
     annulus_subgraph,
     canonical_cycle,
-    crosses,
     enumerate_cycles,
     is_triangle_free,
     load_plane_graph,

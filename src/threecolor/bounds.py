@@ -1,10 +1,8 @@
 """Lower-bound formulas and the end-to-end verification harness.
 
-All bound comparisons are exact.  The power bounds count >= 2**(m/d)
-become integer comparisons count**d >= 2**m.  The square-root bound
-count >= 2**sqrt(n/212) is decided by a cheap sufficient test on the bit
-length, an exact special case when n/212 is a perfect square, and
-otherwise interval arithmetic with growing precision; a bound is never
+All bound comparisons are exact, in integers alone: count >= 2**(m/d)
+becomes count**d >= 2**m, and ``meets_main_bound`` decides count >=
+2**sqrt(n/212) from the bit lengths of powers of count, so no bound is
 declared failed from a rounding artifact.
 
 ``verify`` mirrors the intended proof structure: count exactly, run the
@@ -60,32 +58,33 @@ def main_bound_value(n: int) -> float:
 
 
 def meets_main_bound(count: int, n: int) -> bool:
-    """Exact test of count >= 2**sqrt(n/212)."""
+    """Exact test of count >= 2**sqrt(n/212), i.e. 212*log2(count)**2 >= n.
+
+    Pass j squares floor and ceiling mantissas of count j times, each cut
+    to j + 64 bits first; their bit lengths give a_lo <= 2**j*log2(count)
+    < a_hi <= a_lo + 2.  Pass 0 is the bit-length test; j doubles until
+    212*a_lo**2 >= n*4**j or 212*a_hi**2 <= n*4**j decides.  The loop ends.
+    If count = 2**r, the mantissas stay exact and a_hi/2**j = r + 2**-j
+    falls to sqrt(n/212) or below unless pass 0 accepts.  Otherwise
+    log2(count) is transcendental (Gelfond-Schneider), not sqrt(n/212),
+    and the bracket, 2**(1-j) wide on log2(count), separates the two.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if count < 1:
         return False
-    bits = count.bit_length() - 1      # 2**bits <= count
-    if 212 * bits * bits >= n:
-        return True
-    if n % 212 == 0:
-        root = math.isqrt(n // 212)
-        if root * root == n // 212:
-            return count >= 2 ** root  # threshold is exactly integral
-    from mpmath import iv
-    saved = iv.prec         # the interval context is process-global
-    try:
-        for dps in (30, 60, 120, 240, 480, 960):
-            iv.dps = dps
-            threshold = iv.mpf(2) ** iv.sqrt(iv.mpf(n) / iv.mpf(212))
-            if count >= threshold.b:
-                return True
-            if count < threshold.a:
-                return False
-    finally:
-        iv.prec = saved
-    raise ArithmeticError(
-        f"bound comparison inconclusive at count={count}, n={n}")
+    j = 0
+    while True:
+        lo, hi, e = count, count, 0      # lo*2**e <= count**(2**j) <= hi*2**e
+        for _ in range(j):
+            drop = max(lo.bit_length() - j - 64, 0)
+            lo, hi, e = (lo >> drop) ** 2, (-(-hi >> drop)) ** 2, 2 * (e + drop)
+        a_lo, a_hi = lo.bit_length() - 1 + e, hi.bit_length() + e
+        if 212 * a_lo * a_lo >= n << 2 * j:
+            return True
+        if 212 * a_hi * a_hi <= n << 2 * j:
+            return False
+        j = 2 * j or 1
 
 
 def decomposition_sizes_ok(chain_size: int, antichain_size: int, m: int) -> bool:

@@ -3,8 +3,9 @@
 Subcommands: generate, count, analyze, transition, matrix-lemma,
 verify-bounds.  Machine reports go to stdout (JSON with --json),
 human-readable messages to stderr.  Exit codes: 0 success, 1 bound
-failure, 2 input error, 3 budget or memory exhaustion.  ``-v`` logs
-debug lines to stderr and leaves stdout unchanged.
+failure, 2 input error, 3 budget or memory exhaustion, 141 stdout closed
+by its reader.  ``-v`` logs debug lines to stderr and leaves stdout
+unchanged.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import random
 import sys
 from functools import cache
@@ -275,6 +277,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.verbose:
         logging.basicConfig(level=logging.DEBUG, stream=sys.stderr)
+    try:
+        code = _run(args)
+        sys.stdout.flush()      # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the interpreter's last flush goes to the null
+        # device, and the exit status is the shell's for a SIGPIPE death
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except GraphFormatError as exc:

@@ -610,17 +610,6 @@ def region_partition(g: PlaneGraph, cycle: Sequence[int]) -> RegionPartition:
     return parts
 
 
-def crosses(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int]) -> bool:
-    """Whether the open interiors of two cycles properly overlap.
-
-    Cycles whose interiors are nested or disjoint (including pairs that
-    share only boundary vertices or edges) do not cross.
-    """
-    f1 = region_partition(g, c1).face_mask
-    f2 = region_partition(g, c2).face_mask
-    return bool(f1 & f2 and f1 & ~f2 and f2 & ~f1)
-
-
 # ---------------------------------------------------------------------------
 # triangles, degrees, cycle enumeration
 # ---------------------------------------------------------------------------

@@ -25,12 +25,19 @@ carries a shape into any vertex order for it), and
 ``transition._doubling_supports``.  ``switch_lattice`` builds the 2**t
 colorings of the best bichromatic pair that ``coloring.switching_count``
 only counts, with ``switch_component`` as its component swap.
+``crosses`` is the face-set overlap test of two cycles that the package
+no longer exports.  ``interval_main_bound`` decides the square-root
+bound with mpmath interval arithmetic at growing precision, the
+reference of the integer loop of ``bounds.meets_main_bound``.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations, permutations, product
 from operator import itemgetter
+
+from mpmath import iv
 
 from threecolor import (
     CycleFamily,
@@ -169,6 +176,17 @@ def per_entry_dominant(rng):
     tau = rng.sample(range(5), 5)
     return tuple(tuple(BLOCK_DIAGONAL[sigma[i]][tau[j]] + rng.randint(0, 1)
                        for j in range(5)) for i in range(5))
+
+
+def crosses(g, c1, c2) -> bool:
+    """Whether the open interiors of two cycles properly overlap.
+
+    Cycles whose interiors are nested or disjoint (including pairs that
+    share only boundary vertices or edges) do not cross.
+    """
+    f1 = region_partition(g, c1).face_mask
+    f2 = region_partition(g, c2).face_mask
+    return bool(f1 & f2 and f1 & ~f2 and f2 & ~f1)
 
 
 def pairwise_laminar(g, family) -> bool:
@@ -529,3 +547,33 @@ def switch_lattice(g, coloring) -> set:
                 cur = switch_component(cur, comp, *best)
         out.add(cur)
     return out
+
+
+def interval_main_bound(count: int, n: int) -> bool:
+    """count >= 2**sqrt(n/212) by a bit-length shortcut, an exact case for
+    perfect squares n/212, and otherwise mpmath interval arithmetic at
+    growing precision; the interval context's precision is restored."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if count < 1:
+        return False
+    bits = count.bit_length() - 1      # 2**bits <= count
+    if 212 * bits * bits >= n:
+        return True
+    if n % 212 == 0:
+        root = math.isqrt(n // 212)
+        if root * root == n // 212:
+            return count >= 2 ** root  # threshold is exactly integral
+    saved = iv.prec         # the interval context is process-global
+    try:
+        for dps in (30, 60, 120, 240, 480, 960):
+            iv.dps = dps
+            threshold = iv.mpf(2) ** iv.sqrt(iv.mpf(n) / iv.mpf(212))
+            if count >= threshold.b:
+                return True
+            if count < threshold.a:
+                return False
+    finally:
+        iv.prec = saved
+    raise ArithmeticError(
+        f"bound comparison inconclusive at count={count}, n={n}")

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threecolor import (
     BudgetExceededError,
@@ -20,6 +22,7 @@ from threecolor.bounds import chain_matrix_total
 from threecolor.generators import garden_pentagons
 
 from builders import cycle_graph
+from oracles import interval_main_bound
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +70,39 @@ def test_main_bound_leaves_interval_precision_alone():
     before = iv.dps
     assert not meets_main_bound(3, 1000)     # decided by interval arithmetic
     assert iv.dps == before
+
+
+MAIN_BOUND_CASES = st.one_of(
+    # counts within 1% of the threshold
+    st.builds(lambda n, f: (max(1, round(2 ** math.sqrt(n / 212) * f)), n),
+              st.integers(1, 10 ** 6), st.floats(0.99, 1.01)),
+    # exact powers of two, where log2(count) is an integer, near n = 212 r**2
+    st.builds(lambda r, d: (2 ** r, max(1, 212 * r * r + d)),
+              st.integers(0, 80), st.integers(-500, 500)),
+    # n = 212 r**2, where the threshold 2**r is an integer
+    st.builds(lambda r, d: (2 ** r + d, 212 * r * r),
+              st.integers(1, 80), st.integers(-1, 1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MAIN_BOUND_CASES)
+def test_main_bound_agrees_with_interval_oracle(case):
+    assert meets_main_bound(*case) == interval_main_bound(*case)
+
+
+def test_main_bound_decides_counts_next_to_large_thresholds():
+    # log2 of the integers on either side of 2**sqrt(n/212) lies within
+    # 2**-68 of sqrt(n/212) here: a bracket on log2(count) whose width
+    # stops shrinking at some fixed precision never decides them
+    from mpmath import mp
+    with mp.workprec(1000):
+        for n in (10 ** 6, 10 ** 7):
+            below = int(mp.floor(mp.mpf(2) ** mp.sqrt(mp.mpf(n) / 212)))
+            assert not meets_main_bound(below, n)
+            assert meets_main_bound(below + 1, n)
+            assert interval_main_bound(below, n) is False
+            assert interval_main_bound(below + 1, n) is True
 
 
 def test_power_bound_big_integers():

@@ -20,6 +20,7 @@ from threecolor import (
 from threecolor.cli import main
 
 from builders import GRAPH_SHAPED
+from oracles import interval_main_bound
 
 
 def run_cli(capsys, *argv):
@@ -321,6 +322,45 @@ def test_verbose_logs_sweeps_to_stderr_and_keeps_stdout(tmp_path):
     assert quiet.stderr == b""
     assert (b"sweep of 15 vertices: 191 updates, peak 24 live states, "
             b"color orbits merged") in verbose.stderr
+
+
+def test_library_runs_with_mpmath_blocked(tmp_path, capsys):
+    # mpmath is only a test dependency: a process that cannot import it
+    # decides the square-root bound and verifies a tower as one that can
+    tower = tmp_path / "t3.json"
+    tower.write_text(plane_graph_to_json(pentagon_tower(3)))
+    env = {**os.environ, "PYTHONPATH": str(Path(threecolor.__file__).parents[1])}
+    script = ("import sys\n"
+              "sys.modules['mpmath'] = None\n"
+              "from threecolor import meets_main_bound\n"
+              "from threecolor.cli import main\n"
+              "print(meets_main_bound(3, 1000), meets_main_bound(1023, 21200))\n"
+              "sys.exit(main(['verify-bounds', sys.argv[1], '--json']))\n")
+    blocked = subprocess.run([sys.executable, "-c", script, str(tower)],
+                             capture_output=True, env=env)
+    assert blocked.returncode == 0, blocked.stderr
+    code, stdout, _ = run_cli(capsys, "verify-bounds", str(tower), "--json")
+    assert code == 0
+    expected = (interval_main_bound(3, 1000), interval_main_bound(1023, 21200))
+    assert blocked.stdout.decode() == "%s %s\n" % expected + stdout
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # the reader stops after 100 bytes of 400 reports (about 130 kB, more
+    # than a pipe holds): no traceback, and not exit 1, which means a bound
+    # failed, but 141 as for a process killed by SIGPIPE
+    tower = tmp_path / "t3.json"
+    tower.write_text(plane_graph_to_json(pentagon_tower(3)))
+    env = {**os.environ, "PYTHONPATH": str(Path(threecolor.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "threecolor.cli", "verify-bounds",
+                             *[str(tower)] * 400, "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
 
 
 def test_deeply_nested_json_exit_code(tmp_path, capsys):

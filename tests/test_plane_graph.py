@@ -12,7 +12,6 @@ from threecolor import (
     canonical_cycle,
     containment_forest,
     count_3_colorings,
-    crosses,
     dilworth_decompose,
     dodecahedron,
     enumerate_cycles,
@@ -50,6 +49,7 @@ from builders import (
 )
 from oracles import (
     by_label,
+    crosses,
     dual_search_faces,
     exterior_subgraph,
     interior_subgraph,
