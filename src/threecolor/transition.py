@@ -11,13 +11,23 @@ asserted before dividing.
 Each host graph keeps the entries and updates of its matrix sweeps,
 keyed by the annulus's sweep shape (:func:`coloring.sweep_shape`), which
 is the sweep's whole input besides its tag.  A reuse skips only the
-sweep: both cycles are still validated, the annulus still cut with
-every guard of ``region_graph``, and the stored updates charged to the
-budget, which raises exactly where the sweep would have.
+sweep: both cycles are still read through ``region_partition``, which
+validates a cycle before it memoizes its partition, the annulus still
+cut with every guard of ``region_graph``, and the stored updates charged
+to the budget, which raises exactly where the sweep would have.
 
 All matrix arithmetic is exact integer arithmetic: the product bound
 grows exponentially and the comparisons are done in the integers
 (x**4 * 2**n >= 3**n instead of x >= (3/2)**(n/4)).
+
+The random chains of the matrix lemma are built from a pool of rows,
+every row a sampled matrix can have, each checked as a matrix row once
+when the pool is built on first use.  The matrix helpers accept a tuple
+of five pooled rows without checking its entries again.  The test is by
+identity, which is exact: the pool keeps its rows alive, so no other
+object can share a pooled row's id, and a tuple cannot change, so the
+row is still the one that was checked.  A test by value would not be:
+``(True, 1, 0, 0, 0) == (1, 1, 0, 0, 0)``.
 """
 
 from __future__ import annotations
@@ -27,11 +37,11 @@ import random
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations, permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coloring import DEFAULT_BUDGET, SPECIAL_POSITION, sweep, sweep_shape
 from .errors import BudgetExceededError, FalsificationError
-from .plane_graph import PlaneGraph, annulus_subgraph, validate_cycle
+from .plane_graph import PlaneGraph, annulus_subgraph, region_partition
 
 log = logging.getLogger(__name__)
 
@@ -89,10 +99,24 @@ class TransitionMatrix:
 
 def _entries(m) -> Matrix:
     """The entries of a matrix as a tuple of row tuples, checked to be a
-    5x5 array of non-negative ``int`` (not ``bool``) values; a
-    :class:`TransitionMatrix` was checked when it was built."""
+    5x5 array of non-negative ``int`` (not ``bool``) values.
+
+    Two inputs skip the check because it has already been made: a
+    :class:`TransitionMatrix`, checked when it was built, and a tuple of
+    five pooled rows (see :func:`_row_pool`), each checked when it
+    entered the pool.  A row counts as pooled by identity, not by value,
+    since ``(True, 1, 0, 0, 0)`` equals a pooled row.  The identity test
+    is exact: ``_POOLED`` holds every pooled row, so none is freed and
+    no other object can take its id, and a tuple's items cannot change.
+    """
     if isinstance(m, TransitionMatrix):
         return m.entries
+    if type(m) is tuple and len(m) == 5:
+        r0, r1, r2, r3, r4 = m
+        pooled = _POOLED
+        if (id(r0) in pooled and id(r1) in pooled and id(r2) in pooled
+                and id(r3) in pooled and id(r4) in pooled):
+            return m
     try:
         rows = tuple(map(tuple, m))
     except TypeError:       # not a sequence of sequences
@@ -224,8 +248,13 @@ def apply_row(x: Sequence[int], m) -> tuple:
 
 def _times(x: Sequence[int], e: Matrix) -> tuple:
     x0, x1, x2, x3, x4 = x
-    return tuple(x0 * a + x1 * b + x2 * c + x3 * d + x4 * f
-                 for a, b, c, d, f in zip(*e))
+    ((a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4),
+     (d0, d1, d2, d3, d4), (f0, f1, f2, f3, f4)) = e
+    return (x0 * a0 + x1 * b0 + x2 * c0 + x3 * d0 + x4 * f0,
+            x0 * a1 + x1 * b1 + x2 * c1 + x3 * d1 + x4 * f1,
+            x0 * a2 + x1 * b2 + x2 * c2 + x3 * d2 + x4 * f2,
+            x0 * a3 + x1 * b3 + x2 * c3 + x3 * d3 + x4 * f3,
+            x0 * a4 + x1 * b4 + x2 * c4 + x3 * d4 + x4 * f4)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +286,8 @@ def transition_matrix(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int],
     sweep's entries and updates and charges the updates to ``budget``
     (see the module docstring).
     """
-    k1 = validate_cycle(g, c1)
-    k2 = validate_cycle(g, c2)
+    k1 = region_partition(g, c1).cycle
+    k2 = region_partition(g, c2).cycle
     if len(k1) != 5 or len(k2) != 5:
         raise ValueError("transition matrices are defined between 5-cycles")
     ann = annulus_subgraph(g, k1, k2)
@@ -415,17 +444,70 @@ def _doubling_supports() -> tuple:
     return tuple(supports)
 
 
-def _doubling_from(support: tuple, digits: int) -> Matrix:
-    """The matrix with entries on ``support`` (five column pairs, one per
-    row) and zeros elsewhere; the entries are the ten base-3 digits of
-    ``digits`` plus one, least significant first, row by row and in
-    pair order."""
-    m = [[0] * 5 for _ in range(5)]
-    for row, pair in zip(m, support):
-        for j in pair:
-            digits, d = divmod(digits, 3)
-            row[j] = d + 1
-    return tuple(map(tuple, m))
+_POOLED: dict = {}
+"""id -> row of every pooled row, filled by :func:`_row_pool`; holding
+the rows keeps their ids from being reused (see :func:`_entries`)."""
+
+
+class _RowPool(NamedTuple):
+    """Every row a sampled matrix can have, each checked once."""
+
+    dominant: tuple     # the 243 rows with entries 0..2, by base-3 code
+    reference: tuple    # per column permutation, the codes of the 5 reference rows
+    noise: tuple        # per 5-bit mask, its code (bit j -> digit j)
+    doubling: tuple     # per support, its five rows' tables by base-9 digit
+
+
+def _pooled(row: tuple) -> tuple:
+    """``row``, checked as a matrix row and registered as pooled."""
+    _entries((row,) * 5)
+    _POOLED[id(row)] = row
+    return row
+
+
+@cache
+def _row_pool() -> _RowPool:
+    """The rows of sampled matrices, built and checked on first use.
+
+    A dominant row is a reference row (entries 0/1) plus a noise bit
+    per entry, so its entries are 0..2 and its base-3 code, entry j as
+    digit j, is the code of the reference row plus the code of the
+    noise bits, without carries.  A doubling row holds two entries 1..3
+    on a column pair and zeros elsewhere; its table lists the nine rows
+    of a pair by base-9 digit, the pair's first entry as the low base-3
+    digit, as :func:`_doubling_from` reads them.
+    """
+    def code(row):
+        return sum(x * 3 ** j for j, x in enumerate(row))
+
+    dominant = tuple(_pooled(tuple(k // 3 ** j % 3 for j in range(5)))
+                     for k in range(3 ** 5))
+    reference = tuple(tuple(code(r[t] for t in tau) for r in BLOCK_DIAGONAL)
+                      for tau in _PERMS)
+    noise = tuple(code(bits >> j & 1 for j in range(5))
+                  for bits in range(32))
+    tables = {}
+    for a, b in combinations(range(5), 2):
+        rows = []
+        for d in range(9):
+            row = [0] * 5
+            row[a], row[b] = d % 3 + 1, d // 3 + 1
+            rows.append(_pooled(tuple(row)))
+        tables[a, b] = tuple(rows)
+    doubling = tuple(tuple(map(tables.__getitem__, support))
+                     for support in _doubling_supports())
+    return _RowPool(dominant, reference, noise, doubling)
+
+
+def _doubling_from(tables: tuple, digits: int) -> Matrix:
+    """The doubling matrix on the support whose five row ``tables`` are
+    given (see :func:`_row_pool`): row i is table i at base-9 digit i of
+    ``digits``, least significant first.  So the base-3 digits of
+    ``digits`` are the ten entries less one, row by row and in pair
+    order."""
+    t0, t1, t2, t3, t4 = tables
+    return (t0[digits % 9], t1[digits // 9 % 9], t2[digits // 81 % 9],
+            t3[digits // 729 % 9], t4[digits // 6561])
 
 
 def _random_doubling(rng: random.Random) -> Matrix:
@@ -435,29 +517,28 @@ def _random_doubling(rng: random.Random) -> Matrix:
     This is the distribution of drawing two entries per row and
     rejecting until every column has two, without the rejections.
     """
-    return _doubling_from(rng.choice(_doubling_supports()),
+    return _doubling_from(rng.choice(_row_pool().doubling),
                           rng.randrange(3 ** 10))
 
 
-def _dominant_from(sigma: Sequence[int], tau: Sequence[int],
-                   bits: int) -> Matrix:
-    """The reference matrix with rows permuted by ``sigma`` and columns
-    by ``tau``, plus bit 5i + j of ``bits`` at entry (i, j)."""
-    t0, t1, t2, t3, t4 = tau
-    rows = []
-    for s in sigma:
-        r = BLOCK_DIAGONAL[s]
-        rows.append((r[t0] + (bits & 1), r[t1] + (bits >> 1 & 1),
-                     r[t2] + (bits >> 2 & 1), r[t3] + (bits >> 3 & 1),
-                     r[t4] + (bits >> 4 & 1)))
-        bits >>= 5
-    return tuple(rows)
+def _dominant_from(sigma: int, tau: int, bits: int) -> Matrix:
+    """The reference matrix with rows permuted by ``_PERMS[sigma]`` and
+    columns by ``_PERMS[tau]``, plus bit 5i + j of ``bits`` at entry
+    (i, j), as pooled rows."""
+    rows, reference, noise, _ = _row_pool()
+    ref = reference[tau]
+    s0, s1, s2, s3, s4 = _PERMS[sigma]
+    return (rows[ref[s0] + noise[bits & 31]],
+            rows[ref[s1] + noise[bits >> 5 & 31]],
+            rows[ref[s2] + noise[bits >> 10 & 31]],
+            rows[ref[s3] + noise[bits >> 15 & 31]],
+            rows[ref[s4] + noise[bits >> 20]])
 
 
 def _random_dominant(rng: random.Random) -> Matrix:
     """A uniform row/column permutation of the reference matrix plus 25
     iid fair noise bits, in three draws."""
-    return _dominant_from(_PERMS[rng.randrange(120)], _PERMS[rng.randrange(120)],
+    return _dominant_from(rng.randrange(120), rng.randrange(120),
                           rng.getrandbits(25))
 
 

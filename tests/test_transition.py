@@ -42,10 +42,13 @@ from threecolor import (
 from threecolor.coloring import SPECIAL_POSITION, sweep_shape
 from threecolor.plane_graph import AbstractGraph, annulus_subgraph, validate_cycle
 from threecolor.transition import (
+    _POOLED,
     _dominant_from,
     _doubling_from,
     _doubling_supports,
+    _entries,
     _random_doubling,
+    _row_pool,
     _special_position,
     apply_row,
     random_matrix_chain,
@@ -647,10 +650,10 @@ class ScriptedRandom:
 def test_dominant_builder_matches_the_per_entry_sampler():
     for mask in (0, 2 ** 25 - 1, 0x1555555, 0x1F0000F, 0xBC614E):
         noise = [mask >> k & 1 for k in range(25)]
-        for sigma in permutations(range(5)):
-            for tau in permutations(range(5)):
+        for i, sigma in enumerate(permutations(range(5))):
+            for j, tau in enumerate(permutations(range(5))):
                 old = per_entry_dominant(ScriptedRandom((sigma, tau), noise))
-                assert _dominant_from(sigma, tau, mask) == old
+                assert _dominant_from(i, j, mask) == old
 
 
 def test_doubling_supports_match_the_filtered_products():
@@ -660,14 +663,79 @@ def test_doubling_supports_match_the_filtered_products():
 
 def test_doubling_builder_matches_the_per_entry_sampler():
     supports = _doubling_supports()
-    assert len(supports) == len(set(supports)) == 2040
+    tables = _row_pool().doubling
+    assert len(supports) == len(set(supports)) == len(tables) == 2040
     for digits in ([0] * 10, [2] * 10, [0, 1, 2] * 3 + [1],
                    [2, 2, 0, 1, 0, 0, 1, 2, 1, 0]):
         value = sum(d * 3 ** k for k, d in enumerate(digits))
-        for support in supports:
+        for support, rows in zip(supports, tables):
             old = per_entry_doubling(
                 ScriptedRandom((support,), [d + 1 for d in digits]))
-            assert _doubling_from(support, value) == old
+            assert _doubling_from(rows, value) == old
+
+
+def test_matrix_lemma_random_stream_is_pinned():
+    # the trials of `matrix-lemma --n 40 --trials 300 --seed 515`
+    rng = random.Random(515)
+    count = total = 0
+    for trial in range(300):
+        n = rng.randint(1, 40)
+        mats, kinds = random_matrix_chain(n, rng)
+        report = verify_product_bound(mats, kinds)
+        if trial == 0:
+            assert (n, report.final_value) == (11, 25116852)
+            assert mats[0] == ((3, 0, 0, 3, 0), (0, 0, 3, 0, 3), (0, 3, 3, 0, 0),
+                               (0, 0, 0, 3, 1), (2, 1, 0, 0, 0))
+        count += n
+        total += report.final_value
+    assert count == 5841
+    assert total == 23760336283637726956207860
+
+
+class LookalikeInt(int):
+    pass
+
+
+def test_only_pooled_rows_skip_the_entry_check():
+    m = _dominant_from(0, 0, 0)         # the reference matrix, pooled rows
+    assert m == BLOCK_DIAGONAL and _entries(m) is m
+    row = m[0]                          # (1, 1, 0, 0, 0)
+    bad_rows = [
+        ((True,) + row[1:], "integers"),
+        ((1.0,) + row[1:], "integers"),
+        ((LookalikeInt(1),) + row[1:], "integers"),
+        (row[:4] + (-1,), "non-negative"),
+        ([True, 1, 0, 0, 0], "integers"),
+        ([1, 1, 0, 0, -1], "non-negative"),
+        (row[:4], "5x5"),
+        (5, "5x5"),
+    ]
+    for bad, message in bad_rows:
+        for i in range(5):              # four pooled rows plus one bad row
+            mixed = m[:i] + (bad,) + m[i + 1:]
+            for call in (lambda: _entries(mixed), lambda: classify(mixed),
+                         lambda: verify_product_bound([mixed], ["dominant"])):
+                with pytest.raises(ValueError, match=message):
+                    call()
+    # a list row of valid entries is still a matrix row, checked in full
+    listed = (list(row),) + m[1:]
+    assert _entries(listed) == BLOCK_DIAGONAL
+    assert _entries(list(m)) == BLOCK_DIAGONAL
+    # a pooled row passes only among five in a tuple
+    for shape, message in ((m[:4], "5x5"), (m + m[:1], "5x5"),
+                           ((m,) * 5, "integers")):
+        with pytest.raises(ValueError, match=message):
+            _entries(shape)
+
+
+def test_the_pool_holds_each_row_once_and_registers_it():
+    dominant, _, _, doubling = _row_pool()
+    rows = {id(r): r for r in dominant}
+    rows.update((id(r), r) for tables in doubling for table in tables for r in table)
+    assert len(rows) == 243 + 90
+    for key, r in rows.items():
+        assert _POOLED[key] is r
+        assert type(r) is tuple and {type(x) for x in r} == {int}
 
 
 def test_product_bound_rejects_neither():
