@@ -467,37 +467,29 @@ def enumerate_3_colorings(g) -> Iterator[tuple]:
 
     A plain backtracking search in breadth-first order, kept separate
     from the counting sweep so that tests can check one against the
-    other.
+    other.  It yields in lexicographic order of the colors by BFS
+    position, and loops rather than recursing, so depth is no limit.
     """
     order = _bfs_order(g)
     n = len(order)
-    if n == 0:
-        yield ()
-        return
     pos = {v: p for p, v in enumerate(order)}
     prior = [tuple(pos[w] for w in g.neighbors(v) if pos[w] < p)
              for p, v in enumerate(order)]
-    colors = [0] * n
-    dense = all(v == p for p, v in enumerate(order))
-
-    def rec(p):
+    out = [0] * (max(order, default=-1) + 1)
+    colors = [0] * n        # 0: no color tried yet at that position
+    p = 0
+    while p >= 0:
         if p == n:
-            if dense:
-                yield tuple(colors)
-            else:
-                out = [0] * (max(order) + 1)
-                for q, v in enumerate(order):
-                    out[v] = colors[q]
-                yield tuple(out)
-            return
-        for c in (1, 2, 3):
-            if any(colors[q] == c for q in prior[p]):
-                continue
-            colors[p] = c
-            yield from rec(p + 1)
-        colors[p] = 0
-
-    yield from rec(0)
+            for v, c in zip(order, colors):
+                out[v] = c
+            yield tuple(out)
+            p -= 1
+            continue
+        c = colors[p] + 1
+        while c <= 3 and any(colors[q] == c for q in prior[p]):
+            c += 1
+        colors[p] = c % 4   # 4: every color tried, back up
+        p += 1 if c <= 3 else -1
 
 
 def is_proper(g, coloring) -> bool:

@@ -704,43 +704,44 @@ def region_graph(g: PlaneGraph, outer: Sequence[int] | None = None,
     minus the open interiors of ``holes``, on the host's vertex ids.
 
     The holes must lie strictly inside ``outer`` and have pairwise
-    disjoint interiors.  An edge is dropped iff both of its ends lie on
-    one of these cycles and both of its faces on that cycle's far side
-    (outside ``outer``, inside a hole); so chords drawn inside a hole or
-    outside ``outer`` go, while an edge shared by the boundaries of two
-    holes, or of a hole and ``outer``, stays.
+    disjoint interiors.  The edges are read off the cut cycles and the
+    boundary walks of the kept faces: those inside ``outer`` and in no
+    hole.  So chords drawn inside a hole or outside ``outer`` go, while
+    an edge shared by two cut cycles stays.  Proof: a vertex or edge
+    off a cycle has all its faces on one side of it (see
+    :func:`region_partition`), so a kept face's walk lies in the closed
+    region.  An edge there with no kept face has each face on the far
+    side of a cut cycle, and so both ends on that cycle.  It is a chord
+    on the far side of one cycle, or an edge of a cycle whose two sides
+    hold its two faces (the holes are disjoint and inside ``outer``).
     """
     t = g.dual_tree
     keep = t.all_vertices
-    inside = None
-    cuts = []       # (cycle, the face mask of its far side)
+    inside = (1 << len(g.faces)) - 1
+    walks = []
     if outer is not None:
         parts = region_partition(g, outer)
         inside = parts.face_mask
         keep = parts.boundary_mask | parts.interior_mask
-        cuts.append((parts.cycle, ~inside))
+        walks.append(parts.cycle)
     covered = 0
     for h in holes:
         parts = region_partition(g, h)
         faces = parts.face_mask
-        if inside is not None and (faces & ~inside or faces == inside):
+        if outer is not None and (faces & ~inside or faces == inside):
             raise ValueError("hole does not lie strictly inside the outer cycle")
         if covered & faces:
             raise ValueError("hole interiors overlap; not an antichain")
         covered |= faces
         keep &= ~parts.interior_mask
-        cuts.append((parts.cycle, faces))
-    face_of = g.face_of_dart
-    drop = set()    # both darts of each dropped edge
-    for cycle, far in cuts:
-        on = set(cycle)
-        drop.update((v, w) for v in cycle for w in g.rotation[v]
-                    if w in on and far >> t.pre[face_of[(v, w)]] & 1
-                    and far >> t.pre[face_of[(w, v)]] & 1)
-    kept = t.vertices(keep)
-    return AbstractGraph(adj={
-        v: frozenset(w for w in g.rotation[v] if w in kept and (v, w) not in drop)
-        for v in sorted(kept)})
+        walks.append(parts.cycle)
+    walks += [g.faces[t.face_at[i]] for i in mask_members(inside & ~covered)]
+    adj = {v: set() for v in sorted(t.vertices(keep))}
+    for walk in walks:
+        for u, v in zip(walk, walk[1:] + walk[:1]):
+            adj[u].add(v)
+            adj[v].add(u)
+    return AbstractGraph(adj={v: frozenset(nb) for v, nb in adj.items()})
 
 
 def annulus_subgraph(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int]) -> AbstractGraph:

@@ -415,11 +415,10 @@ def verify_product_bound(ms: Sequence, kinds: Sequence[str] | None = None) -> Pr
 # random chains for the matrix lemma
 # ---------------------------------------------------------------------------
 
-@cache
 def _doubling_supports() -> tuple:
     """The 2040 zero/one 5x5 patterns with every row and column sum 2,
-    as five column pairs (one per row), in ``product`` order; built on
-    first use, row by row, never using a column a third time."""
+    as five column pairs (one per row), in ``product`` order, built row
+    by row, never using a column a third time; :func:`_row_pool` reads it."""
     pairs = tuple(combinations(range(5), 2))
     supports: list = []
     rows: list = []

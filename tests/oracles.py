@@ -54,7 +54,7 @@ from threecolor import (
 from threecolor.coloring import _color_blind
 from threecolor.errors import BudgetExceededError, FalsificationError
 from threecolor.plane_graph import identify_neighbors, validate_cycle
-from threecolor.transition import BLOCK_DIAGONAL, TransitionMatrix, _doubling_supports
+from threecolor.transition import BLOCK_DIAGONAL, TransitionMatrix
 
 
 def cycle_edges(cycle) -> set[frozenset]:
@@ -63,18 +63,21 @@ def cycle_edges(cycle) -> set[frozenset]:
     return {frozenset((cycle[i], cycle[(i + 1) % n])) for i in range(n)}
 
 
-def scan_count_colorings(g) -> int:
-    """Count proper 3-colorings by scanning all 3**n assignments."""
+def scan_colorings(g) -> list:
+    """Every proper 3-coloring, by scanning all 3**n assignments in
+    ``product`` order, each a tuple over ``g.vertices`` in order."""
     verts = list(g.vertices)
     n = len(verts)
     assert n <= 16, "scan oracle is for tiny graphs"
     pos = {v: i for i, v in enumerate(verts)}
     edges = [(pos[v], pos[w]) for v in verts for w in g.neighbors(v) if v < w]
-    total = 0
-    for assign in product((1, 2, 3), repeat=n):
-        if all(assign[a] != assign[b] for a, b in edges):
-            total += 1
-    return total
+    return [assign for assign in product((1, 2, 3), repeat=n)
+            if all(assign[a] != assign[b] for a, b in edges)]
+
+
+def scan_count_colorings(g) -> int:
+    """Count proper 3-colorings by scanning all 3**n assignments."""
+    return len(scan_colorings(g))
 
 
 def scan_triangle(g) -> bool:
@@ -159,11 +162,12 @@ def compose_by_definition(ms):
     return acc
 
 
-def per_entry_doubling(rng):
-    """A support by ``rng.choice``, then one ``rng.randint(1, 3)`` per
-    support cell, row by row and in pair order."""
+def per_entry_doubling(rng, supports):
+    """A support by ``rng.choice`` from ``supports`` (those of
+    ``transition._doubling_supports``), then one ``rng.randint(1, 3)``
+    per support cell, row by row and in pair order."""
     m = [[0] * 5 for _ in range(5)]
-    for i, pair in enumerate(rng.choice(_doubling_supports())):
+    for i, pair in enumerate(rng.choice(supports)):
         for j in pair:
             m[i][j] = rng.randint(1, 3)
     return tuple(tuple(r) for r in m)

@@ -31,6 +31,7 @@ from threecolor import (
 )
 from threecolor.coloring import (
     _bfs_from,
+    _bfs_order,
     _first_occurrence,
     _narrowest_bfs,
     _orbit_masks,
@@ -52,6 +53,7 @@ from builders import (
 from oracles import (
     reference_sweep,
     renumbered,
+    scan_colorings,
     scan_count_colorings,
     special_vertex_by_definition,
     switch_component,
@@ -343,6 +345,26 @@ def test_enumerate_matches_count():
         assert len(cols) == count_3_colorings(g)
         assert len(set(cols)) == len(cols)
         assert all(is_proper(g, c) for c in cols)
+
+
+def test_enumerate_order_is_lexicographic_by_bfs_position(corpus):
+    # the scan's proper colorings, sorted by their colors in BFS order
+    graphs = [g for _, g in corpus if g.n <= 10]
+    graphs += [single_vertex(), single_edge(), path_graph(4), cycle_graph(5)]
+    assert len(graphs) == 8
+    for g in graphs:
+        order = _bfs_order(g)
+        want = sorted(scan_colorings(g), key=lambda c: [c[v] for v in order])
+        assert list(enumerate_3_colorings(g)) == want
+
+
+def test_enumerate_reaches_a_thousand_vertices():
+    # one position per loop step, no recursion: n = 1000 is no deeper
+    g = pentagon_tower(200)
+    coloring = next(enumerate_3_colorings(g))
+    assert len(coloring) == g.n == 1000
+    assert is_proper(g, coloring)
+    assert switching_count(g, coloring) >= 1
 
 
 def test_enumerate_triangle():

@@ -43,6 +43,7 @@ from builders import (
     interleaved_pentagons,
     nested_pairs_family,
     nested_pairs_graph,
+    path_graph,
     single_edge,
     single_vertex,
     small_cycles,
@@ -504,6 +505,17 @@ def _check_region(g, outer, holes):
     want = plane_region(g, outer, holes)
     got = by_label(region_graph(g, outer, holes), g.label)
     assert got == by_label(want, want.label)
+
+
+def test_region_graph_of_one_vertex_is_that_vertex():
+    # no face walk holds the vertex; it comes from the vertex mask alone
+    assert region_graph(single_vertex()).adj == {0: frozenset()}
+
+
+def test_region_graph_without_cycles_is_the_whole_graph(corpus):
+    for name, g in [*corpus, ("edge", single_edge()), ("path", path_graph(4))]:
+        want = {v: frozenset(g.rotation[v]) for v in g.vertices}
+        assert region_graph(g).adj == want, name
 
 
 def test_annulus_whole_prism():

@@ -670,7 +670,7 @@ def test_doubling_builder_matches_the_per_entry_sampler():
         value = sum(d * 3 ** k for k, d in enumerate(digits))
         for support, rows in zip(supports, tables):
             old = per_entry_doubling(
-                ScriptedRandom((support,), [d + 1 for d in digits]))
+                ScriptedRandom((support,), [d + 1 for d in digits]), supports)
             assert _doubling_from(rows, value) == old
 
 
