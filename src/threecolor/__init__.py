@@ -25,14 +25,11 @@ from .coloring import (
     DEFAULT_BUDGET,
     SpecialData,
     bichromatic_components,
-    coloring_to_json,
     count_3_colorings,
     count_3_colorings_detailed,
     count_with_boundary,
     enumerate_3_colorings,
     extends,
-    is_proper,
-    load_coloring,
     pinned_counts,
     special_data,
     switching_count,
@@ -77,11 +74,8 @@ from .transition import (
     TransitionMatrix,
     classify,
     compose,
-    dominates,
-    identity_matrix,
     is_dominant,
     is_doubling,
-    majorizes,
     matrix_report,
     potential,
     s_k,

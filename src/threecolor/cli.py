@@ -16,6 +16,7 @@ import logging
 import os
 import random
 import sys
+from contextlib import contextmanager
 from functools import cache
 
 from . import __version__
@@ -42,8 +43,26 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
 
-def _emit(data: dict, as_json: bool, human: str):
-    print(json.dumps(data, sort_keys=True) if as_json else human)
+@contextmanager
+def _exact_digits():
+    """Let ints of any length convert to decimal, for printing counts;
+    input parsing keeps the interpreter's limit on long numbers."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:       # Python before 3.10.7 has no limit
+        yield
+        return
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _emit(data: dict, as_json: bool, human):
+    """Print ``data`` as JSON, or else the string ``human()``."""
+    with _exact_digits():
+        print(json.dumps(data, sort_keys=True) if as_json else human())
 
 
 def _budget_exhausted(exc: BudgetExceededError, args, path: str, g) -> int:
@@ -78,7 +97,8 @@ def _cmd_generate(args) -> int:
         _emit({"family": args.family, "k": args.k, "seed": args.seed,
                "ops": args.ops, "vertices": g.n, "out": args.out},
               args.json,
-              f"wrote {args.family} graph with {g.n} vertices to {args.out}")
+              lambda: f"wrote {args.family} graph with {g.n} vertices "
+              f"to {args.out}")
     return EXIT_OK
 
 
@@ -91,7 +111,7 @@ def _cmd_count(args) -> int:
         return _budget_exhausted(exc, args, args.graph, g)
     record = {"graph": args.graph, "count": res.count, "budget_used": res.nodes}
     _emit(record, args.json,
-          f"{args.graph}: {res.count} proper 3-colorings "
+          lambda: f"{args.graph}: {res.count} proper 3-colorings "
           f"({res.nodes} state updates)")
     return EXIT_OK
 
@@ -116,7 +136,7 @@ def _cmd_analyze(args) -> int:
         human = (f"laminar family of {len(outcome.family)} 5-cycles; "
                  f"chain {len(chain.cycles)}, antichain {len(anti.cycles)} "
                  f"(k={args.k})")
-    _emit(record, args.json, human)
+    _emit(record, args.json, lambda: human)
     return EXIT_OK
 
 
@@ -143,11 +163,11 @@ def _cmd_transition(args) -> int:
     except BudgetExceededError as exc:
         return _budget_exhausted(exc, args, args.graph, g)
     record = matrix_report(m, g)
-    rows = "\n".join("  " + " ".join(f"{x:4d}" for x in row)
-                     for row in m.entries)
     _emit(record, args.json,
-          f"transition matrix ({record['classification']}, "
-          f"raw count {record['raw_count']}):\n{rows}")
+          lambda: f"transition matrix ({record['classification']}, "
+          f"raw count {record['raw_count']}):\n"
+          + "\n".join("  " + " ".join(f"{x:4d}" for x in row)
+                      for row in m.entries))
     return EXIT_OK
 
 
@@ -170,7 +190,7 @@ def _cmd_matrix_lemma(args) -> int:
     if first:
         record["first_failure"] = first
     _emit(record, args.json,
-          f"matrix chains up to length {args.n}: {args.trials} trials, "
+          lambda: f"matrix chains up to length {args.n}: {args.trials} trials, "
           f"{violations} violations -> "
           f"{'PASS' if violations == 0 else 'FAIL'}")
     return EXIT_OK if violations == 0 else EXIT_BOUND_FAILURE
@@ -191,7 +211,7 @@ def _cmd_verify_bounds(args) -> int:
         record = report.to_json_dict()
         status = "PASS" if report.all_pass else "FAIL"
         _emit(record, args.json,
-              f"{path}: n={report.n} count={report.exact_count} "
+              lambda: f"{path}: n={report.n} count={report.exact_count} "
               f"outcome={report.outcome} -> {status}")
         if not report.all_pass:
             failures += 1

@@ -48,8 +48,8 @@ from itertools import accumulate, chain, permutations, product, repeat
 from operator import itemgetter, mul
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
-from .errors import BudgetExceededError, GraphFormatError
-from .plane_graph import PlaneGraph, _read_json, canonical_cycle
+from .errors import BudgetExceededError
+from .plane_graph import PlaneGraph, canonical_cycle
 
 log = logging.getLogger(__name__)
 
@@ -492,17 +492,6 @@ def enumerate_3_colorings(g) -> Iterator[tuple]:
         p += 1 if c <= 3 else -1
 
 
-def is_proper(g, coloring) -> bool:
-    """No edge is monochromatic and every vertex has a color in 1..3."""
-    for v in g.vertices:
-        if coloring[v] not in (1, 2, 3):
-            return False
-        for w in g.neighbors(v):
-            if coloring[v] == coloring[w]:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # special vertex / edge of a colored 5-cycle
 # ---------------------------------------------------------------------------
@@ -601,43 +590,3 @@ def switching_count(g, coloring) -> int:
     """
     return max(len(bichromatic_components(g, coloring, i, j))
                for i, j in ((1, 2), (1, 3), (2, 3)))
-
-
-# ---------------------------------------------------------------------------
-# coloring file format
-# ---------------------------------------------------------------------------
-
-def load_coloring(source, g: PlaneGraph) -> tuple:
-    """Read ``{"colors": {"a": 1, ...}}`` from a file path or the parsed
-    data, and validate it against ``g``."""
-    data = _read_json(source)
-    if not isinstance(data, dict) or "colors" not in data:
-        raise GraphFormatError({"error": "bad_schema", "detail": "missing 'colors'"})
-    colors = data["colors"]
-    if not isinstance(colors, dict):
-        raise GraphFormatError({"error": "bad_schema", "detail": "'colors' not a map"})
-    out = [0] * g.n
-    for lab in g.labels:
-        if lab not in colors:
-            raise GraphFormatError({"error": "uncolored_vertex", "vertex": lab})
-        c = colors[lab]
-        if type(c) is not int or c not in (1, 2, 3):
-            raise GraphFormatError({"error": "bad_color", "vertex": lab,
-                                    "color": c})
-        out[g.index(lab)] = c
-    extra = set(colors) - set(g.labels)
-    if extra:
-        raise GraphFormatError({"error": "unknown_vertex", "vertex": sorted(extra)[0]})
-    coloring = tuple(out)
-    for v in g.vertices:
-        for w in g.neighbors(v):
-            if v < w and coloring[v] == coloring[w]:
-                raise GraphFormatError(
-                    {"error": "monochromatic_edge",
-                     "edge": [g.label(v), g.label(w)]})
-    return coloring
-
-
-def coloring_to_json(g: PlaneGraph, coloring) -> dict:
-    return {"colors": {g.label(v): coloring[v] for v in g.vertices}}
-

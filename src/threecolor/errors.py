@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 class GraphFormatError(ValueError):
-    """Raised when a graph (or coloring) input fails validation.
+    """Raised when a graph input fails validation.
 
     Carries a machine-readable ``report`` dict with an ``error`` code and
     the offending vertex/edge where applicable.

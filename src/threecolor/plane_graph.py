@@ -215,11 +215,18 @@ class PlaneGraph:
             if want and [self.labels[0]] != [self.labels[i] for i in want]:
                 raise GraphFormatError({"error": "outer_face_mismatch"})
             return 0
-        target = _cyclic_norm(want)
-        for idx, walk in enumerate(self.faces):
-            if len(walk) == len(want) and _cyclic_norm(list(walk)) == target:
-                return idx
-        raise GraphFormatError({"error": "outer_face_mismatch"})
+        # A face holding the walk forwards holds the dart (w0, w1), one
+        # holding it backwards the dart (w0, w_last), and a dart lies on
+        # exactly one face, once: so only those two faces, each read from
+        # that dart, can match.  Both match on a cycle; the lower wins.
+        matches = []
+        for walk in (tuple(want), tuple(want[:1] + want[:0:-1])):
+            f = self.face_of_dart.get(walk[:2])
+            if f is not None and _read_from(self.faces[f], walk[:2]) == walk:
+                matches.append(f)
+        if not matches:
+            raise GraphFormatError({"error": "outer_face_mismatch"})
+        return min(matches)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -275,10 +282,12 @@ class PlaneGraph:
                 f"faces={len(self.faces)})")
 
 
-def _cyclic_norm(seq: list) -> tuple:
-    """Least rotation over both directions; identifies cyclic sequences."""
-    return min((tuple(c[i:] + c[:i]) for c in (seq, seq[::-1])
-                for i in range(len(c))), default=())
+def _read_from(face: tuple, dart: tuple) -> tuple:
+    """The walk of ``face`` rotated to start at ``dart``, which it holds."""
+    m = len(face)
+    i = next(i for i in range(m)
+             if face[i] == dart[0] and face[(i + 1) % m] == dart[1])
+    return face[i:] + face[:i]
 
 
 # ---------------------------------------------------------------------------

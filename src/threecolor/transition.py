@@ -131,30 +131,8 @@ def _entries(m) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# majorization / domination / doubling
+# domination / doubling
 # ---------------------------------------------------------------------------
-
-def majorizes(a, b) -> bool:
-    """Entrywise a >= b."""
-    ea, eb = _entries(a), _entries(b)
-    return all(ea[i][j] >= eb[i][j] for i in range(5) for j in range(5))
-
-
-def dominates(a, b) -> bool:
-    """True iff a majorizes some row/column permutation of b.
-
-    Brute force over all 120 x 120 permutation pairs with early exit:
-    exactly the definition, and the reference of :func:`is_dominant`.
-    """
-    ea, eb = _entries(a), _entries(b)
-    for sigma in _PERMS:
-        rows = tuple(eb[s] for s in sigma)
-        for tau in _PERMS:
-            if all(ea[i][j] >= rows[i][tau[j]]
-                   for i in range(5) for j in range(5)):
-                return True
-    return False
-
 
 def _dominant_patterns() -> tuple:
     """For each 2x2 block of cells, its bit mask and the masks of the six
@@ -176,13 +154,14 @@ _DOMINANT_PATTERNS = _dominant_patterns()
 
 
 def is_dominant(a) -> bool:
-    """True iff ``a`` dominates :data:`BLOCK_DIAGONAL`.
+    """True iff ``a`` dominates :data:`BLOCK_DIAGONAL`, that is, ``a`` is
+    entrywise >= some row/column permutation of it.
 
     The row/column permutations of the reference matrix are exactly the
     0/1 matrices whose ones are a 2x2 block plus a transversal of the
     complementary 3x3, so ``a`` dominates it iff its entries are >= 1 on
     some such block and transversal: at most 100 blocks times 6
-    transversals instead of :func:`dominates`' 14,400 permutation pairs.
+    transversals instead of 14,400 permutation pairs.
     """
     e = _entries(a)
     positive = sum(1 << k for k, x in enumerate(chain.from_iterable(e)) if x)
@@ -337,13 +316,6 @@ def compose(ms: Sequence[TransitionMatrix]) -> TransitionMatrix:
         cols = nxt.col_labels
     return TransitionMatrix(entries=rows, row_labels=first.row_labels,
                             col_labels=cols)
-
-
-def identity_matrix(labels) -> TransitionMatrix:
-    """Identity with equal row and column labels; composes neutrally."""
-    ent = tuple(tuple(1 if i == j else 0 for j in range(5)) for i in range(5))
-    return TransitionMatrix(entries=ent, row_labels=tuple(labels),
-                            col_labels=tuple(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,14 @@ carries a shape into any vertex order for it), and
 colorings of the best bichromatic pair that ``coloring.switching_count``
 only counts, with ``switch_component`` as its component swap.
 ``crosses`` is the face-set overlap test of two cycles that the package
-no longer exports.  ``interval_main_bound`` decides the square-root
-bound with mpmath interval arithmetic at growing precision, the
-reference of the integer loop of ``bounds.meets_main_bound``.
+no longer exports, and ``is_proper``, ``majorizes`` and ``dominates``
+(the reference of ``transition.is_dominant``) are the coloring and
+matrix predicates it no longer ships.  ``outer_face_by_norm`` finds the
+outer face by comparing the cyclic norm of every face, the reference of
+the two-dart lookup of ``PlaneGraph._resolve_outer``.
+``interval_main_bound`` decides the square-root bound with mpmath
+interval arithmetic at growing precision, the reference of the integer
+loop of ``bounds.meets_main_bound``.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from threecolor import (
 from threecolor.coloring import _color_blind
 from threecolor.errors import BudgetExceededError, FalsificationError
 from threecolor.plane_graph import identify_neighbors, validate_cycle
-from threecolor.transition import BLOCK_DIAGONAL, TransitionMatrix
+from threecolor.transition import BLOCK_DIAGONAL, TransitionMatrix, _entries
 
 
 def cycle_edges(cycle) -> set[frozenset]:
@@ -78,6 +83,17 @@ def scan_colorings(g) -> list:
 def scan_count_colorings(g) -> int:
     """Count proper 3-colorings by scanning all 3**n assignments."""
     return len(scan_colorings(g))
+
+
+def is_proper(g, coloring) -> bool:
+    """No edge is monochromatic and every vertex has a color in 1..3."""
+    for v in g.vertices:
+        if coloring[v] not in (1, 2, 3):
+            return False
+        for w in g.neighbors(v):
+            if coloring[v] == coloring[w]:
+                return False
+    return True
 
 
 def scan_triangle(g) -> bool:
@@ -160,6 +176,29 @@ def compose_by_definition(ms):
         acc = TransitionMatrix(entries=prod, row_labels=acc.row_labels,
                                col_labels=nxt.col_labels)
     return acc
+
+
+def majorizes(a, b) -> bool:
+    """Entrywise a >= b."""
+    ea, eb = _entries(a), _entries(b)
+    return all(ea[i][j] >= eb[i][j] for i in range(5) for j in range(5))
+
+
+def dominates(a, b) -> bool:
+    """True iff a majorizes some row/column permutation of b.
+
+    Brute force over all 120 x 120 permutation pairs with early exit:
+    exactly the definition, and the reference of ``is_dominant``.
+    """
+    ea, eb = _entries(a), _entries(b)
+    perms = list(permutations(range(5)))
+    for sigma in perms:
+        rows = tuple(eb[s] for s in sigma)
+        for tau in perms:
+            if all(ea[i][j] >= rows[i][tau[j]]
+                   for i in range(5) for j in range(5)):
+                return True
+    return False
 
 
 def per_entry_doubling(rng, supports):
@@ -346,6 +385,22 @@ def by_label(g, label) -> tuple[set, set]:
 # ---------------------------------------------------------------------------
 # cycle interiors by their definitions
 # ---------------------------------------------------------------------------
+
+def cyclic_norm(seq) -> tuple:
+    """Least rotation over both directions; identifies cyclic sequences."""
+    seq = list(seq)
+    return min((tuple(c[i:] + c[:i]) for c in (seq, seq[::-1])
+                for i in range(len(c))), default=())
+
+
+def outer_face_by_norm(g, walk):
+    """The least face whose walk is ``walk`` up to rotation and reversal,
+    or ``None``, by comparing the cyclic norm of every face."""
+    target = cyclic_norm(walk)
+    return next((f for f, face in enumerate(g.faces)
+                 if len(face) == len(walk) and cyclic_norm(face) == target),
+                None)
+
 
 def dual_search_faces(g, cycle) -> frozenset:
     """Faces unreachable from the outer face in the dual once the dual

@@ -17,7 +17,7 @@ from threecolor import (
     plane_graph_to_json,
     verify,
 )
-from threecolor.cli import main
+from threecolor.cli import _exact_digits, main
 
 from builders import GRAPH_SHAPED
 from oracles import interval_main_bound
@@ -27,6 +27,32 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_exported_names_are_pinned():
+    # every change to the public names shows up in this list
+    assert sorted(threecolor.__all__) == [
+        "AbstractGraph", "BLOCK_DIAGONAL", "BoundReport",
+        "BudgetExceededError", "ContainmentForest", "CycleFamily",
+        "DEFAULT_BUDGET", "FAMILIES", "FalsificationError", "GraphFormatError",
+        "LaminarOutcome", "PlaneGraph", "ProductBoundReport",
+        "RegionPartition", "SpecialData", "TransitionMatrix",
+        "annulus_subgraph", "antichain_bound", "bichromatic_components",
+        "bounds", "canonical_cycle", "chain_bound", "classify", "coloring",
+        "compose", "containment_forest", "count_3_colorings",
+        "count_3_colorings_detailed", "count_with_boundary",
+        "decomposition_sizes_ok", "dilworth_decompose", "dodecahedron",
+        "enumerate_3_colorings", "enumerate_cycles", "errors", "extends",
+        "extract", "garden_pentagons", "generators", "is_dominant",
+        "is_doubling", "is_laminar", "is_triangle_free", "laminar",
+        "load_plane_graph", "low_degree_set", "main_bound_value",
+        "matrix_report", "meets_main_bound", "meets_power_bound",
+        "pentagon_garden", "pentagon_tower", "perturbed_tower",
+        "pinned_counts", "plane_graph", "plane_graph_to_json", "potential",
+        "region_graph", "region_partition", "s_k", "shared_path_pentagons",
+        "special_data", "switching_count", "tower_pentagons", "transition",
+        "transition_matrix", "verify", "verify_product_bound",
+    ]
 
 
 def test_version(capsys):
@@ -305,6 +331,58 @@ def test_human_output_modes(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "count", str(tower))
     assert code == 0
     assert "180" in stdout and not stdout.lstrip().startswith("{")
+
+
+def _digit_limit():
+    """The interpreter's limit on int-to-decimal digits, or None on a
+    Python without one (before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.fixture(scope="module")
+def tower5600(tmp_path_factory):
+    """Tower 5600 (n = 28,000): its count 30 * 6**5599 has 4359 digits,
+    past the default limit of 4300."""
+    path = tmp_path_factory.mktemp("long") / "t5600.json"
+    path.write_text(plane_graph_to_json(pentagon_tower(5600)))
+    return str(path)
+
+
+def test_count_prints_counts_past_the_digit_limit(tower5600, capsys):
+    # the limit is lifted only while printing, and restored after
+    limit = _digit_limit()
+    code, stdout, _ = run_cli(capsys, "count", tower5600, "--json")
+    assert code == 0 and _digit_limit() == limit
+    with _exact_digits():
+        record = json.loads(stdout)
+    assert record["count"] == 30 * 6 ** 5599
+    code, stdout, _ = run_cli(capsys, "count", tower5600)
+    assert code == 0 and _digit_limit() == limit
+    with _exact_digits():
+        assert stdout == (f"{tower5600}: {30 * 6 ** 5599} proper 3-colorings "
+                          f"({record['budget_used']} state updates)\n")
+
+
+def test_transition_prints_counts_past_the_digit_limit(tower5600, capsys):
+    limit = _digit_limit()
+    outer = ",".join(f"v5599.{i}" for i in range(5))
+    inner = ",".join(f"v0.{i}" for i in range(5))
+    code, stdout, _ = run_cli(capsys, "transition", tower5600,
+                              "--outer", outer, "--inner", inner, "--json")
+    assert code == 0 and _digit_limit() == limit
+    with _exact_digits():
+        record = json.loads(stdout)
+    assert record["raw_count"] == 30 * 6 ** 5599
+
+
+def test_counts_print_on_a_python_without_a_digit_limit(tmp_path, capsys,
+                                                         monkeypatch):
+    tower = tmp_path / "t2.json"
+    tower.write_text(plane_graph_to_json(pentagon_tower(2)))
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    code, stdout, _ = run_cli(capsys, "count", str(tower), "--json")
+    assert code == 0 and json.loads(stdout)["count"] == 180
 
 
 def test_verbose_logs_sweeps_to_stderr_and_keeps_stdout(tmp_path):

@@ -9,17 +9,13 @@ from hypothesis import strategies as st
 from threecolor import (
     AbstractGraph,
     BudgetExceededError,
-    GraphFormatError,
     bichromatic_components,
-    coloring_to_json,
     count_3_colorings,
     count_3_colorings_detailed,
     count_with_boundary,
     dodecahedron,
     enumerate_3_colorings,
     extends,
-    is_proper,
-    load_coloring,
     pentagon_garden,
     pentagon_tower,
     perturbed_tower,
@@ -42,8 +38,6 @@ from threecolor.generators import garden_pentagons
 from threecolor.plane_graph import identify_neighbors
 
 from builders import (
-    JSON_VALUES,
-    NAMES,
     chorded_pentagon,
     cycle_graph,
     path_graph,
@@ -51,6 +45,7 @@ from builders import (
     single_vertex,
 )
 from oracles import (
+    is_proper,
     reference_sweep,
     renumbered,
     scan_colorings,
@@ -622,51 +617,6 @@ def test_switching_on_garden_reaches_component_bound(corpus):
         reduced = region_graph(g, None, pents)
         coloring = next(enumerate_3_colorings(reduced))
         assert 6 * switching_count(reduced, coloring) >= k
-
-
-# ---------------------------------------------------------------------------
-# coloring files
-# ---------------------------------------------------------------------------
-
-def test_coloring_round_trip():
-    g = cycle_graph(4)
-    coloring = (1, 2, 1, 3)
-    data = coloring_to_json(g, coloring)
-    assert load_coloring(data, g) == coloring
-
-
-def test_coloring_file_rejects_improper():
-    g = single_edge()
-    with pytest.raises(GraphFormatError) as exc:
-        load_coloring({"colors": {"a": 1, "b": 1}}, g)
-    assert exc.value.report["error"] == "monochromatic_edge"
-
-
-def test_coloring_file_rejects_partial_and_bad_colors():
-    g = single_edge()
-    with pytest.raises(GraphFormatError):
-        load_coloring({"colors": {"a": 1}}, g)
-    with pytest.raises(GraphFormatError):
-        load_coloring({"colors": {"a": 1, "b": 4}}, g)
-    for colors in ({"a": True, "b": 2}, {"a": 1.0, "b": 2}, None, ["a", "b"]):
-        with pytest.raises(GraphFormatError):
-            load_coloring({"colors": colors}, g)
-
-
-_PENTAGON_LABELS = st.sampled_from([f"c{i}" for i in range(5)])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(JSON_VALUES, st.fixed_dictionaries({"colors": st.one_of(
-    JSON_VALUES, st.dictionaries(_PENTAGON_LABELS | NAMES,
-                                 st.integers(-1, 4) | JSON_VALUES, max_size=6),
-    st.fixed_dictionaries({lab: st.integers(0, 4) for lab in
-                           (f"c{i}" for i in range(5))}))})))
-def test_coloring_loader_raises_only_graph_format_errors(data):
-    try:
-        load_coloring(data, cycle_graph(5))
-    except GraphFormatError:
-        pass
 
 
 def test_brute_force_helper_agrees():

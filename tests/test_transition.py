@@ -18,14 +18,11 @@ from threecolor import (
     count_3_colorings,
     dilworth_decompose,
     dodecahedron,
-    dominates,
     enumerate_3_colorings,
     extract,
-    identity_matrix,
     is_dominant,
     is_doubling,
     load_plane_graph,
-    majorizes,
     matrix_report,
     pentagon_tower,
     perturbed_tower,
@@ -57,7 +54,9 @@ from threecolor.transition import (
 from builders import annulus_instances
 from oracles import (
     compose_by_definition,
+    dominates,
     filtered_doubling_supports,
+    majorizes,
     pattern_transition_entries,
     per_entry_doubling,
     per_entry_dominant,
@@ -538,7 +537,8 @@ def test_compose_singleton_and_identity():
     inner = [g.index(x) for x in ("u1", "u2", "u3", "u4", "v")]
     m = transition_matrix(g, outer, inner)
     assert compose([m]) == m
-    ident = identity_matrix(m.col_labels)
+    ident = TransitionMatrix(entries=IDENTITY, row_labels=m.col_labels,
+                             col_labels=m.col_labels)
     assert compose([m, ident]).entries == m.entries
 
 
