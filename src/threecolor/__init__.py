@@ -11,6 +11,8 @@ exact integer arithmetic.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundReport,
     antichain_bound,
@@ -83,4 +85,6 @@ from .transition import (
     verify_product_bound,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, less the submodules that the imports above bind
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

@@ -20,14 +20,14 @@ All matrix arithmetic is exact integer arithmetic: the product bound
 grows exponentially and the comparisons are done in the integers
 (x**4 * 2**n >= 3**n instead of x >= (3/2)**(n/4)).
 
-The random chains of the matrix lemma are built from a pool of rows,
-every row a sampled matrix can have, each checked as a matrix row once
-when the pool is built on first use.  The matrix helpers accept a tuple
-of five pooled rows without checking its entries again.  The test is by
-identity, which is exact: the pool keeps its rows alive, so no other
-object can share a pooled row's id, and a tuple cannot change, so the
-row is still the one that was checked.  A test by value would not be:
-``(True, 1, 0, 0, 0) == (1, 1, 0, 0, 0)``.
+The matrix helpers check a matrix once.  :func:`_entries` checks a
+matrix in full and returns its entries as a ``_Checked`` tuple, which
+every helper then accepts at once; a :class:`TransitionMatrix` holds
+its entries that way.  The only other source of ``_Checked`` matrices
+is the sampler of the matrix lemma's random chains, which assembles
+them from a pool of rows, every row a sampled matrix can have, each
+checked once when the pool is built on first use.  Anything else, a
+list or a slice of a checked matrix included, is checked in full.
 """
 
 from __future__ import annotations
@@ -97,26 +97,29 @@ class TransitionMatrix:
         return self.entries[idx]
 
 
-def _entries(m) -> Matrix:
-    """The entries of a matrix as a tuple of row tuples, checked to be a
-    5x5 array of non-negative ``int`` (not ``bool``) values.
+class _Checked(tuple):
+    """The entries of a checked matrix: five row tuples of five
+    non-negative ``int`` values.  Built only by :func:`_entries`, after
+    its check, and by the sampler builders from checked pool rows."""
 
-    Two inputs skip the check because it has already been made: a
-    :class:`TransitionMatrix`, checked when it was built, and a tuple of
-    five pooled rows (see :func:`_row_pool`), each checked when it
-    entered the pool.  A row counts as pooled by identity, not by value,
-    since ``(True, 1, 0, 0, 0)`` equals a pooled row.  The identity test
-    is exact: ``_POOLED`` holds every pooled row, so none is freed and
-    no other object can take its id, and a tuple's items cannot change.
+    __slots__ = ()
+
+
+def _entries(m) -> Matrix:
+    """The entries of a matrix as a ``_Checked`` tuple of row tuples,
+    checked to be a 5x5 array of non-negative ``int`` (not ``bool``)
+    values.
+
+    A ``_Checked`` tuple has been checked and is returned at once, as
+    are a :class:`TransitionMatrix`'s entries, which are one.  Anything
+    else is checked in full, even a sequence equal to a checked matrix,
+    since ``(True, 1, 0, 0, 0) == (1, 1, 0, 0, 0)``; a list or a slice
+    of a ``_Checked`` tuple is a plain sequence.
     """
+    if type(m) is _Checked:
+        return m
     if isinstance(m, TransitionMatrix):
         return m.entries
-    if type(m) is tuple and len(m) == 5:
-        r0, r1, r2, r3, r4 = m
-        pooled = _POOLED
-        if (id(r0) in pooled and id(r1) in pooled and id(r2) in pooled
-                and id(r3) in pooled and id(r4) in pooled):
-            return m
     try:
         rows = tuple(map(tuple, m))
     except TypeError:       # not a sequence of sequences
@@ -127,7 +130,7 @@ def _entries(m) -> Matrix:
         raise ValueError("matrix entries must be integers")
     if min(map(min, rows)) < 0:
         raise ValueError("matrix entries must be non-negative")
-    return rows
+    return _Checked(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +190,16 @@ def classify(m) -> str:
     "neither" contradicts the expected dichotomy for transition matrices
     of triangle-free plane graphs and is logged as an error.
     """
-    dom = is_dominant(m)
-    dbl = is_doubling(m)
+    e = _entries(m)
+    dom = is_dominant(e)
+    dbl = is_doubling(e)
     if dom and dbl:
         return "both"
     if dom:
         return "dominant"
     if dbl:
         return "doubling"
-    log.error("matrix is neither dominant nor doubling: %s", _entries(m))
+    log.error("matrix is neither dominant nor doubling: %s", e)
     return "neither"
 
 
@@ -295,7 +299,8 @@ def _sweep(shape: tuple, budget: int) -> tuple:
                 raise FalsificationError(
                     f"raw special-pair count {raw[i][j]} at ({i}, {j}) is "
                     "not divisible by 6")
-    return tuple(tuple(raw[i][j] // 6 for j in range(5)) for i in range(5)), updates
+    return _entries(tuple(tuple(raw[i][j] // 6 for j in range(5))
+                          for i in range(5))), updates
 
 
 def compose(ms: Sequence[TransitionMatrix]) -> TransitionMatrix:
@@ -415,11 +420,6 @@ def _doubling_supports() -> tuple:
     return tuple(supports)
 
 
-_POOLED: dict = {}
-"""id -> row of every pooled row, filled by :func:`_row_pool`; holding
-the rows keeps their ids from being reused (see :func:`_entries`)."""
-
-
 class _RowPool(NamedTuple):
     """Every row a sampled matrix can have, each checked once."""
 
@@ -429,11 +429,9 @@ class _RowPool(NamedTuple):
     doubling: tuple     # per support, its five rows' tables by base-9 digit
 
 
-def _pooled(row: tuple) -> tuple:
-    """``row``, checked as a matrix row and registered as pooled."""
-    _entries((row,) * 5)
-    _POOLED[id(row)] = row
-    return row
+def _checked_row(row: tuple) -> tuple:
+    """``row``, checked as a matrix row."""
+    return _entries((row,) * 5)[0]
 
 
 @cache
@@ -451,7 +449,7 @@ def _row_pool() -> _RowPool:
     def code(row):
         return sum(x * 3 ** j for j, x in enumerate(row))
 
-    dominant = tuple(_pooled(tuple(k // 3 ** j % 3 for j in range(5)))
+    dominant = tuple(_checked_row(tuple(k // 3 ** j % 3 for j in range(5)))
                      for k in range(3 ** 5))
     reference = tuple(tuple(code(r[t] for t in tau) for r in BLOCK_DIAGONAL)
                       for tau in _PERMS)
@@ -463,7 +461,7 @@ def _row_pool() -> _RowPool:
         for d in range(9):
             row = [0] * 5
             row[a], row[b] = d % 3 + 1, d // 3 + 1
-            rows.append(_pooled(tuple(row)))
+            rows.append(_checked_row(tuple(row)))
         tables[a, b] = tuple(rows)
     doubling = tuple(tuple(map(tables.__getitem__, support))
                      for support in _doubling_supports())
@@ -477,8 +475,8 @@ def _doubling_from(tables: tuple, digits: int) -> Matrix:
     ``digits`` are the ten entries less one, row by row and in pair
     order."""
     t0, t1, t2, t3, t4 = tables
-    return (t0[digits % 9], t1[digits // 9 % 9], t2[digits // 81 % 9],
-            t3[digits // 729 % 9], t4[digits // 6561])
+    return _Checked((t0[digits % 9], t1[digits // 9 % 9], t2[digits // 81 % 9],
+                     t3[digits // 729 % 9], t4[digits // 6561]))
 
 
 def _random_doubling(rng: random.Random) -> Matrix:
@@ -495,15 +493,15 @@ def _random_doubling(rng: random.Random) -> Matrix:
 def _dominant_from(sigma: int, tau: int, bits: int) -> Matrix:
     """The reference matrix with rows permuted by ``_PERMS[sigma]`` and
     columns by ``_PERMS[tau]``, plus bit 5i + j of ``bits`` at entry
-    (i, j), as pooled rows."""
+    (i, j), as a checked matrix of pool rows."""
     rows, reference, noise, _ = _row_pool()
     ref = reference[tau]
     s0, s1, s2, s3, s4 = _PERMS[sigma]
-    return (rows[ref[s0] + noise[bits & 31]],
-            rows[ref[s1] + noise[bits >> 5 & 31]],
-            rows[ref[s2] + noise[bits >> 10 & 31]],
-            rows[ref[s3] + noise[bits >> 15 & 31]],
-            rows[ref[s4] + noise[bits >> 20]])
+    return _Checked((rows[ref[s0] + noise[bits & 31]],
+                     rows[ref[s1] + noise[bits >> 5 & 31]],
+                     rows[ref[s2] + noise[bits >> 10 & 31]],
+                     rows[ref[s3] + noise[bits >> 15 & 31]],
+                     rows[ref[s4] + noise[bits >> 20]]))
 
 
 def _random_dominant(rng: random.Random) -> Matrix:

@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from threecolor import (
     plane_graph_to_json,
     verify,
 )
+from threecolor import cli
 from threecolor.cli import _exact_digits, main
 
 from builders import GRAPH_SHAPED
@@ -38,21 +41,29 @@ def test_exported_names_are_pinned():
         "LaminarOutcome", "PlaneGraph", "ProductBoundReport",
         "RegionPartition", "SpecialData", "TransitionMatrix",
         "annulus_subgraph", "antichain_bound", "bichromatic_components",
-        "bounds", "canonical_cycle", "chain_bound", "classify", "coloring",
-        "compose", "containment_forest", "count_3_colorings",
+        "canonical_cycle", "chain_bound", "classify", "compose",
+        "containment_forest", "count_3_colorings",
         "count_3_colorings_detailed", "count_with_boundary",
         "decomposition_sizes_ok", "dilworth_decompose", "dodecahedron",
-        "enumerate_3_colorings", "enumerate_cycles", "errors", "extends",
-        "extract", "garden_pentagons", "generators", "is_dominant",
-        "is_doubling", "is_laminar", "is_triangle_free", "laminar",
-        "load_plane_graph", "low_degree_set", "main_bound_value",
-        "matrix_report", "meets_main_bound", "meets_power_bound",
-        "pentagon_garden", "pentagon_tower", "perturbed_tower",
-        "pinned_counts", "plane_graph", "plane_graph_to_json", "potential",
-        "region_graph", "region_partition", "s_k", "shared_path_pentagons",
-        "special_data", "switching_count", "tower_pentagons", "transition",
-        "transition_matrix", "verify", "verify_product_bound",
+        "enumerate_3_colorings", "enumerate_cycles", "extends", "extract",
+        "garden_pentagons", "is_dominant", "is_doubling", "is_laminar",
+        "is_triangle_free", "load_plane_graph", "low_degree_set",
+        "main_bound_value", "matrix_report", "meets_main_bound",
+        "meets_power_bound", "pentagon_garden", "pentagon_tower",
+        "perturbed_tower", "pinned_counts", "plane_graph_to_json",
+        "potential", "region_graph", "region_partition", "s_k",
+        "shared_path_pentagons", "special_data", "switching_count",
+        "tower_pentagons", "transition_matrix", "verify",
+        "verify_product_bound",
     ]
+    # a star import binds exactly these names and no submodule, which
+    # stays reachable as an attribute
+    namespace = {}
+    exec("from threecolor import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(threecolor.__all__)
+    assert not any(isinstance(v, ModuleType) for v in namespace.values())
+    assert threecolor.coloring.count_3_colorings is count_3_colorings
 
 
 def test_version(capsys):
@@ -152,6 +163,35 @@ def test_matrix_lemma_subcommand(capsys):
     record = json.loads(stdout)
     assert record == {"n": 12, "pass": True, "seed": 7, "trials": 40,
                       "violations": 0}
+
+
+def test_matrix_lemma_reports_its_first_failure(monkeypatch, capsys):
+    real = cli.verify_product_bound
+    lengths = []
+
+    def failing(mats, kinds):
+        # trials 2, 4 and 5 fail the potential step at their last matrix
+        report = real(mats, kinds)
+        lengths.append(len(mats))
+        if len(lengths) in (3, 5, 6):
+            return replace(report, potential_pass=False,
+                           first_violation=len(mats) - 1)
+        return report
+
+    monkeypatch.setattr(cli, "verify_product_bound", failing)
+    code, stdout, _ = run_cli(capsys, "matrix-lemma", "--n", "12",
+                              "--seed", "7", "--trials", "10", "--json")
+    assert code == 1
+    assert json.loads(stdout) == {
+        "n": 12, "pass": False, "seed": 7, "trials": 10, "violations": 3,
+        "first_failure": {"trial": 2, "n": lengths[2],
+                          "first_violation": lengths[2] - 1}}
+    lengths.clear()
+    code, stdout, _ = run_cli(capsys, "matrix-lemma", "--n", "12",
+                              "--seed", "7", "--trials", "10")
+    assert code == 1
+    assert stdout == ("matrix chains up to length 12: 10 trials, "
+                      "3 violations -> FAIL\n")
 
 
 def test_verify_bounds_subcommand(tmp_path, capsys):

@@ -39,7 +39,6 @@ from threecolor import (
 from threecolor.coloring import SPECIAL_POSITION, sweep_shape
 from threecolor.plane_graph import AbstractGraph, annulus_subgraph, validate_cycle
 from threecolor.transition import (
-    _POOLED,
     _dominant_from,
     _doubling_from,
     _doubling_supports,
@@ -427,6 +426,8 @@ def test_equal_sweep_shapes_sweep_once(monkeypatch):
     layers = [transition_matrix(g, pents[i + 1], pents[i]) for i in range(7)]
     assert len(sweeps) == 1
     assert {(m.entries, m.updates) for m in layers} == {(layers[0].entries, 130)}
+    # the sweep's entries are stored checked, so no reuse checks or copies them
+    assert all(m.entries is layers[0].entries for m in layers)
     assert [m.row_labels for m in layers] == [canonical_cycle(p) for p in pents[1:]]
     # an outer-to-inner pair has another shape and sweeps once, then hits
     outer = transition_matrix(g, pents[-1], pents[0])
@@ -696,9 +697,14 @@ class LookalikeInt(int):
     pass
 
 
-def test_only_pooled_rows_skip_the_entry_check():
-    m = _dominant_from(0, 0, 0)         # the reference matrix, pooled rows
+def test_only_checked_matrices_skip_the_entry_check():
+    labels = tuple(range(5))
+    m = _dominant_from(0, 0, 0)         # the reference matrix, from pool rows
     assert m == BLOCK_DIAGONAL and _entries(m) is m
+    doubling = _doubling_from(_row_pool().doubling[0], 0)
+    assert _entries(doubling) is doubling
+    built = TransitionMatrix(entries=m, row_labels=labels, col_labels=labels)
+    assert built.entries is m and _entries(built) is m
     row = m[0]                          # (1, 1, 0, 0, 0)
     bad_rows = [
         ((True,) + row[1:], "integers"),
@@ -711,30 +717,33 @@ def test_only_pooled_rows_skip_the_entry_check():
         (5, "5x5"),
     ]
     for bad, message in bad_rows:
-        for i in range(5):              # four pooled rows plus one bad row
+        for i in range(5):              # four checked rows plus one bad row
             mixed = m[:i] + (bad,) + m[i + 1:]
             for call in (lambda: _entries(mixed), lambda: classify(mixed),
-                         lambda: verify_product_bound([mixed], ["dominant"])):
+                         lambda: verify_product_bound([mixed], ["dominant"]),
+                         lambda: TransitionMatrix(entries=mixed, row_labels=labels,
+                                                  col_labels=labels)):
                 with pytest.raises(ValueError, match=message):
                     call()
-    # a list row of valid entries is still a matrix row, checked in full
-    listed = (list(row),) + m[1:]
-    assert _entries(listed) == BLOCK_DIAGONAL
-    assert _entries(list(m)) == BLOCK_DIAGONAL
-    # a pooled row passes only among five in a tuple
+    # a list, a slice or a list row of a checked matrix is a plain
+    # sequence: checked in full, into an equal but new checked matrix
+    for plain in (list(m), m[:4] + m[4:], (list(row),) + m[1:]):
+        checked = _entries(plain)
+        assert checked == m and checked is not m and checked is not plain
+        assert _entries(checked) is checked
+    # checked rows pass only as five rows of a checked matrix
     for shape, message in ((m[:4], "5x5"), (m + m[:1], "5x5"),
                            ((m,) * 5, "integers")):
         with pytest.raises(ValueError, match=message):
             _entries(shape)
 
 
-def test_the_pool_holds_each_row_once_and_registers_it():
+def test_the_pool_holds_each_row_once():
     dominant, _, _, doubling = _row_pool()
     rows = {id(r): r for r in dominant}
     rows.update((id(r), r) for tables in doubling for table in tables for r in table)
     assert len(rows) == 243 + 90
-    for key, r in rows.items():
-        assert _POOLED[key] is r
+    for r in rows.values():
         assert type(r) is tuple and {type(x) for x in r} == {int}
 
 
@@ -742,6 +751,20 @@ def test_product_bound_rejects_neither():
     zero = tuple((0,) * 5 for _ in range(5))
     with pytest.raises(ValueError):
         verify_product_bound([zero])
+
+
+def test_product_bound_guards_its_arguments():
+    mats, kinds = random_matrix_chain(6, random.Random(3))
+    for chain in (mats, [[list(r) for r in m] for m in mats]):
+        with pytest.raises(ValueError, match="empty matrix chain"):
+            verify_product_bound(chain[:0])
+        for wrong in (kinds[:-1], kinds + ["dominant"]):
+            with pytest.raises(ValueError, match="one classification required"):
+                verify_product_bound(chain, wrong)
+        for kind in ("neither", "bogus"):
+            with pytest.raises(ValueError, match="neither dominant nor doubling"):
+                verify_product_bound(chain, [kind] + kinds[1:])
+        assert verify_product_bound(chain, kinds).ok
 
 
 def test_matrix_report_shape():
