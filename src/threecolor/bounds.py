@@ -9,21 +9,21 @@ declared failed from a rounding artifact.
 reduction dichotomy (k defaults to 213), decompose any extracted family
 into a chain and an antichain, check every applicable bound, and when a
 chain of two or more cycles exists also check that six times the
-composed transition-matrix total never exceeds the exact count.  One
-budget of state updates covers the count and every layer sweep of the
-chain, and ``budget_used`` is their sum.
+composed transition-matrix total never exceeds the exact count (the
+chain arrives outermost first, so consecutive members bound the layers
+in product order).  One budget of state updates covers the count and
+every layer sweep of the chain, and ``budget_used`` is their sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .coloring import DEFAULT_BUDGET, count_3_colorings_detailed
 from .errors import BudgetExceededError
 from .laminar import CycleFamily, dilworth_decompose, extract
-from .plane_graph import PlaneGraph, region_partition
+from .plane_graph import PlaneGraph
 from .transition import compose, transition_matrix
 
 DEFAULT_K = 213
@@ -147,34 +147,6 @@ class BoundReport:
         }
 
 
-def chain_matrix_total(g: PlaneGraph, chain: Sequence,
-                       budget: int = DEFAULT_BUDGET) -> int:
-    """Total of the transition matrix composed along a chain of 5-cycles.
-
-    The chain is sorted outermost first; consecutive members give the
-    layer matrices whose product is the end-to-end matrix.  ``budget``
-    caps the state updates of all layer sweeps together.
-    """
-    return _chain_total(g, chain, budget, 0)[0]
-
-
-def _chain_total(g: PlaneGraph, chain: Sequence, budget: int,
-                 spent: int) -> tuple[int, int]:
-    """``chain_matrix_total`` with ``spent`` updates already charged to
-    ``budget``; returns the total and the updates spent in all."""
-    ordered = sorted(chain, key=lambda c: region_partition(g, c).face_mask.bit_count(),
-                     reverse=True)
-    mats = []
-    for outer, inner in zip(ordered, ordered[1:]):
-        try:
-            m = transition_matrix(g, outer, inner, budget=budget - spent)
-        except BudgetExceededError:
-            raise BudgetExceededError(budget) from None
-        spent += m.updates
-        mats.append(m)
-    return compose(mats).total, spent
-
-
 def verify(g: PlaneGraph, k: int = DEFAULT_K, budget: int = DEFAULT_BUDGET,
            graph_name: str = "graph") -> BoundReport:
     """Count exactly and evaluate every applicable lower bound."""
@@ -197,8 +169,14 @@ def verify(g: PlaneGraph, k: int = DEFAULT_K, budget: int = DEFAULT_BUDGET,
         antichain_pass = antichain_bound(count, len(antichain))
         sizes_pass = decomposition_sizes_ok(len(chain), len(antichain), family_size)
         if len(chain) >= 2:
-            total, used = _chain_total(g, chain, budget, used)
-            matrix_check = 6 * total <= count
+            mats = []
+            for outer, inner in zip(chain, chain[1:]):
+                try:
+                    mats.append(transition_matrix(g, outer, inner, budget=budget - used))
+                except BudgetExceededError:
+                    raise BudgetExceededError(budget) from None
+                used += mats[-1].updates
+            matrix_check = 6 * compose(mats).total <= count
     return BoundReport(
         graph=graph_name,
         n=n,

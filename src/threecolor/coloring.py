@@ -413,7 +413,7 @@ def _sweep_in_order(shape: tuple, order: Sequence[int],
     states = {0: 1}
     updates = peak = 0
     for read, extensions, keep, live in steps:
-        ones, bad = _orbit_masks(live, low)
+        ones, bad = _orbit_masks(live, low) if merge else (0, 0)
         nxt: dict = {}
         get = nxt.get
         memo: dict = {}
@@ -425,10 +425,9 @@ def _sweep_in_order(shape: tuple, order: Sequence[int],
             state &= keep
             for ext in exts:
                 ext |= state
-                if merge:
-                    x = ext ^ ones
-                    if x & -x & bad:
-                        ext = _first_occurrence(ext, low)
+                x = ext ^ ones
+                if x & -x & bad:
+                    ext = _first_occurrence(ext, low)
                 nxt[ext] = get(ext, 0) + cnt
             updates += len(exts)
         if updates > budget:

@@ -713,25 +713,25 @@ def region_graph(g: PlaneGraph, outer: Sequence[int] | None = None,
     minus the open interiors of ``holes``, on the host's vertex ids.
 
     The holes must lie strictly inside ``outer`` and have pairwise
-    disjoint interiors.  The edges are read off the cut cycles and the
-    boundary walks of the kept faces: those inside ``outer`` and in no
-    hole.  So chords drawn inside a hole or outside ``outer`` go, while
-    an edge shared by two cut cycles stays.  Proof: a vertex or edge
-    off a cycle has all its faces on one side of it (see
-    :func:`region_partition`), so a kept face's walk lies in the closed
-    region.  An edge there with no kept face has each face on the far
-    side of a cut cycle, and so both ends on that cycle.  It is a chord
-    on the far side of one cycle, or an edge of a cycle whose two sides
-    hold its two faces (the holes are disjoint and inside ``outer``).
+    disjoint interiors.  The vertices and edges are read off the cut
+    cycles and the boundary walks of the kept faces: those inside
+    ``outer`` and in no hole.  So chords drawn inside a hole or outside
+    ``outer`` go, while an edge shared by two cut cycles stays.  Proof:
+    a vertex or edge off a cycle has all its faces on one side of it
+    (see :func:`region_partition`), so a kept face's walk lies in the
+    closed region, and a vertex there on no cut cycle lies on the walks
+    of its faces, all kept.  An edge there with no kept face has each
+    face on the far side of a cut cycle, and so both ends on that cycle.
+    It is a chord on the far side of one cycle, or an edge of a cycle
+    whose two sides hold its two faces (the holes are disjoint and
+    inside ``outer``).  Only a one-vertex host has no vertex on a walk.
     """
     t = g.dual_tree
-    keep = t.all_vertices
     inside = (1 << len(g.faces)) - 1
     walks = []
     if outer is not None:
         parts = region_partition(g, outer)
         inside = parts.face_mask
-        keep = parts.boundary_mask | parts.interior_mask
         walks.append(parts.cycle)
     covered = 0
     for h in holes:
@@ -742,15 +742,14 @@ def region_graph(g: PlaneGraph, outer: Sequence[int] | None = None,
         if covered & faces:
             raise ValueError("hole interiors overlap; not an antichain")
         covered |= faces
-        keep &= ~parts.interior_mask
         walks.append(parts.cycle)
     walks += [g.faces[t.face_at[i]] for i in mask_members(inside & ~covered)]
-    adj = {v: set() for v in sorted(t.vertices(keep))}
+    adj: dict = {0: set()} if g.n == 1 else {}
     for walk in walks:
         for u, v in zip(walk, walk[1:] + walk[:1]):
-            adj[u].add(v)
-            adj[v].add(u)
-    return AbstractGraph(adj={v: frozenset(nb) for v, nb in adj.items()})
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+    return AbstractGraph(adj={v: frozenset(adj[v]) for v in sorted(adj)})
 
 
 def annulus_subgraph(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int]) -> AbstractGraph:

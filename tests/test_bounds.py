@@ -18,7 +18,6 @@ from threecolor import (
     pentagon_tower,
     verify,
 )
-from threecolor.bounds import chain_matrix_total
 from threecolor.generators import garden_pentagons
 
 from builders import cycle_graph
@@ -159,12 +158,14 @@ def test_verify_rejects_triangles():
 
 
 def test_verify_budget_covers_count_and_layer_sweeps():
-    from threecolor import count_3_colorings_detailed, tower_pentagons, transition_matrix
+    from threecolor import (compose, count_3_colorings_detailed, tower_pentagons,
+                            transition_matrix)
     g = pentagon_tower(8)
     pents = tower_pentagons(g, 8)
     count_updates = count_3_colorings_detailed(g).nodes
-    sweep_updates = sum(transition_matrix(g, outer, inner).updates
-                        for inner, outer in zip(pents, pents[1:]))
+    c = pents[::-1]     # outermost first
+    mats = [transition_matrix(g, a, b) for a, b in zip(c, c[1:])]
+    sweep_updates = sum(m.updates for m in mats)
     assert (count_updates, sweep_updates) == (786, 910)
     assert verify(g).budget_used == 1696
     assert verify(g, budget=1696).budget_used == 1696
@@ -172,10 +173,7 @@ def test_verify_budget_covers_count_and_layer_sweeps():
         with pytest.raises(BudgetExceededError) as exc:
             verify(g, budget=budget)
         assert exc.value.budget == budget
-    with pytest.raises(BudgetExceededError):
-        chain_matrix_total(g, pents, budget=sweep_updates - 1)
-    assert 6 * chain_matrix_total(g, pents, budget=sweep_updates) == \
-        count_3_colorings(g)
+    assert 6 * compose(mats).total == count_3_colorings(g)
 
 
 def test_dodecahedron_chain_matrix_sweeps_from_its_narrowest_root():
@@ -204,19 +202,19 @@ def test_budget_used_is_pinned_on_the_whole_corpus(corpus):
 
 def test_chain_matrix_total_is_a_lower_bound_mechanism():
     g = pentagon_tower(4)
-    from threecolor import extract, dilworth_decompose
-    chain, _ = dilworth_decompose(g, extract(g, 213).family)
-    total = chain_matrix_total(g, chain.cycles)
+    from threecolor import compose, extract, dilworth_decompose, transition_matrix
+    c = dilworth_decompose(g, extract(g, 213).family)[0].cycles
+    total = compose([transition_matrix(g, a, b) for a, b in zip(c, c[1:])]).total
     assert 6 * total == count_3_colorings(g)   # towers: annulus is the graph
 
 
 def test_tower_of_seven_chain_bound_via_transfer():
     # count the height-7 tower through the composed layer matrices and
     # compare exactly as count**7 >= 2**7
-    from threecolor import extract, dilworth_decompose
+    from threecolor import compose, extract, dilworth_decompose, transition_matrix
     g = pentagon_tower(7)
-    chain, _ = dilworth_decompose(g, extract(g, 213).family)
-    count = 6 * chain_matrix_total(g, chain.cycles)
+    c = dilworth_decompose(g, extract(g, 213).family)[0].cycles
+    count = 6 * compose([transition_matrix(g, a, b) for a, b in zip(c, c[1:])]).total
     assert count == count_3_colorings(g) == 30 * 6 ** 6
     assert chain_bound(count, 7)
     assert count ** 7 >= 2 ** 7

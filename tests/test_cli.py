@@ -22,7 +22,7 @@ from threecolor import (
 from threecolor import cli
 from threecolor.cli import _exact_digits, main
 
-from builders import GRAPH_SHAPED
+from builders import GRAPH_SHAPED, chorded_pentagon
 from oracles import interval_main_bound
 
 
@@ -291,6 +291,54 @@ def test_triangle_input_rejected_by_analyze(tmp_path, capsys):
     path.write_text(plane_graph_to_json(chorded_pentagon()))
     code, stdout, _ = run_cli(capsys, "analyze", str(path), "--json")
     assert code == 2
+
+
+def _two(**fields):
+    return {"vertices": ["a", "b"], "rotation": {"a": ["b"], "b": ["a"]},
+            "outer_face": ["a", "b"], **fields}
+
+
+_INNER = ("--inner", "v0.0,v0.1,v0.2,v0.3,v0.4")
+
+
+@pytest.mark.parametrize("command, graph, options, record", [
+    ("count", _two(vertices=["a", "b", "a"]), (),
+     {"error": "duplicate_vertex", "vertex": "a"}),
+    ("count", _two(rotation={"a": ["b", "z"], "b": ["a"]}), (),
+     {"error": "unknown_vertex", "vertex": "z"}),
+    ("count", _two(rotation={"a": ["b"], "b": ["a"], "z": []}), (),
+     {"error": "unknown_vertex", "vertex": "z"}),
+    ("count", _two(outer_face=["a", "q"]), (),
+     {"error": "unknown_vertex", "vertex": "q"}),
+    ("count", {"vertices": [], "rotation": {}, "outer_face": []}, (),
+     {"error": "empty_graph"}),
+    ("count", None, (), {"error": "no_such_file", "path": None}),
+    ("transition", pentagon_tower(2), ("--outer", "v1.0,v1.1,v1.2,v1.3,zz", *_INNER),
+     {"error": "unknown_vertex", "vertex": "zz"}),
+    ("transition", pentagon_tower(2), ("--outer", "v1.0,v1.1,v0.1", *_INNER),
+     {"detail": "not a cycle of the graph: v0.1-v1.0 is not an edge",
+      "error": "bad_cycle"}),
+    ("verify-bounds", chorded_pentagon(), (),
+     {"detail": "bound verification requires a triangle-free graph",
+      "error": "bad_input", "path": None}),
+    ("analyze", chorded_pentagon(), (),
+     {"detail": "extraction requires a triangle-free graph", "error": "bad_input"}),
+], ids=["duplicate_vertex", "unknown_neighbour", "unknown_rotation_key",
+        "unknown_outer_face_label", "empty_graph", "no_such_file",
+        "unknown_cycle_label", "bad_cycle", "verify_triangle", "analyze_triangle"])
+def test_input_errors_print_their_records(tmp_path, capsys, command, graph,
+                                          options, record):
+    # each input error exits 2 with its record as the first stdout line;
+    # a record's path (None above) is the file given
+    path = tmp_path / "g.json"
+    if isinstance(graph, dict):
+        path.write_text(json.dumps(graph))
+    elif graph is not None:
+        path.write_text(plane_graph_to_json(graph))
+    code, stdout, _ = run_cli(capsys, command, str(path), *options, "--json")
+    record = {k: str(path) if v is None else v for k, v in record.items()}
+    assert code == 2
+    assert stdout.splitlines()[0] == json.dumps(record, sort_keys=True)
 
 
 def test_budget_exit_code(tmp_path, capsys):

@@ -383,6 +383,44 @@ def test_chain_is_totally_ordered_antichain_disjoint():
             assert not (ra & rb)
 
 
+def _chain_face_masks(g, family):
+    chain, _ = dilworth_decompose(g, family)
+    return [region_partition(g, c).face_mask for c in chain]
+
+
+def _assert_outermost_first(masks, name):
+    # verify composes the layer matrices in this order; leaf first, it
+    # would ask for annuli whose hole lies outside the outer cycle
+    assert len(masks) >= 2, name
+    for a, b in zip(masks, masks[1:]):
+        assert a.bit_count() > b.bit_count(), name
+        assert a & b == b, name
+
+
+def test_chain_arrives_outermost_first(corpus):
+    checked = []
+    for name, g in corpus:
+        out = extract(g, 213)
+        masks = _chain_face_masks(g, out.family) if out.kind == "family" else []
+        if len(masks) >= 2:
+            _assert_outermost_first(masks, name)
+            checked.append(name)
+    assert len(checked) == 9    # towers 2-8, the dodecahedron, the shared path
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda k: st.tuples(
+    st.builds(perturbed_tower, st.just(k), st.integers(0, 99), st.integers(0, 4)),
+    st.permutations(range(k)))))
+def test_perturbed_tower_chain_arrives_outermost_first(case):
+    # extraction reduces perturbed towers, so decompose their layer
+    # pentagons, handed over in a drawn order
+    g, order = case
+    pents = tower_pentagons(g, len(order))
+    _assert_outermost_first(_chain_face_masks(g, [pents[i] for i in order]),
+                            "perturbed tower")
+
+
 # ---------------------------------------------------------------------------
 # degree counting inequality used by the decomposition sizing
 # ---------------------------------------------------------------------------

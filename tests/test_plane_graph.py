@@ -562,7 +562,7 @@ def _check_region(g, outer, holes):
 
 
 def test_region_graph_of_one_vertex_is_that_vertex():
-    # no face walk holds the vertex; it comes from the vertex mask alone
+    # no face walk holds the vertex; it comes from the host's vertex list
     assert region_graph(single_vertex()).adj == {0: frozenset()}
 
 
