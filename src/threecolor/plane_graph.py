@@ -21,12 +21,13 @@ XOR of the subtree intervals of the tree edges dual to the cycle's
 edges: a bitmask from O(|C|) big-int operations, with no search.
 Vertices are numbered by the preorder of one incident face, which makes
 the interior vertices the same XOR over vertex intervals, less the
-cycle.  :func:`region_partition` returns these masks; the frozensets of
-face and vertex ids are views built on first use, for tests and
-callers, and no hot path reads them.  A region cut along cycles (the
-annulus between two nested cycles, or a graph with some cycle interiors
-deleted) is an :class:`AbstractGraph` on the host's vertex ids: counting
-needs only its vertices and edges, so nothing is re-embedded.
+cycle.  :func:`region_partition` returns these masks and nothing else;
+the tree's numberings (``pre`` and ``face_at``, ``vpos`` and
+``vert_at``) decode them into face and vertex ids.  A region cut along
+cycles (the annulus between two nested cycles, or a graph with some
+cycle interiors deleted) is an :class:`AbstractGraph` on the host's
+vertex ids: counting needs only its vertices and edges, so nothing is
+re-embedded.
 
 After loading, vertices are dense integers 0..n-1; the original string
 identifiers are kept as labels for I/O.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -433,9 +434,7 @@ class DualTree:
     def __init__(self, g: PlaneGraph):
         face_of = g.face_of_dart
         nf = len(g.faces)
-        darts: list[list[Dart]] = [[] for _ in range(nf)]
-        for dart, f in face_of.items():
-            darts[f].append(dart)
+        darts = [list(zip(w, w[1:] + w[:1])) for w in g.faces]
         pre = [-1] * nf
         size = [0] * nf
         up = [None] * nf                 # face -> its parent face
@@ -490,10 +489,6 @@ class DualTree:
         self.vpos, self.vert_at, self.vstart = vpos, vert_at, vstart
         self.all_vertices = (1 << g.n) - 1
 
-    def faces(self, mask: int) -> frozenset:
-        """The face ids of a face mask."""
-        return frozenset(self.face_at[i] for i in mask_members(mask))
-
     def vertices(self, mask: int) -> frozenset:
         """The vertex ids of a vertex mask."""
         return frozenset(self.vert_at[i] for i in mask_members(mask))
@@ -501,36 +496,16 @@ class DualTree:
 
 @dataclass(frozen=True)
 class RegionPartition:
-    """The split of the graph by a cycle, as bitmasks: the faces inside
-    it (bit ``tree.pre[f]`` for face f) and the interior, exterior and
-    boundary vertices (bit ``tree.vpos[v]`` for vertex v).
-
-    ``faces``, ``interior``, ``exterior`` and ``boundary`` are the same
-    sets as frozensets of face and vertex ids, built on first use.
-    """
+    """The split of the graph by a cycle, as bitmasks over the
+    numberings of ``g.dual_tree``: the faces inside it (bit ``pre[f]``
+    for face f) and the interior, exterior and boundary vertices (bit
+    ``vpos[v]`` for vertex v)."""
 
     cycle: Cycle
     face_mask: int
     interior_mask: int
     exterior_mask: int
     boundary_mask: int
-    tree: DualTree = field(repr=False, compare=False)
-
-    @cached_property
-    def faces(self) -> frozenset:
-        return self.tree.faces(self.face_mask)
-
-    @cached_property
-    def interior(self) -> frozenset:
-        return self.tree.vertices(self.interior_mask)
-
-    @cached_property
-    def exterior(self) -> frozenset:
-        return self.tree.vertices(self.exterior_mask)
-
-    @cached_property
-    def boundary(self) -> frozenset:
-        return frozenset(self.cycle)
 
 
 def region_partition(g: PlaneGraph, cycle: Sequence[int]) -> RegionPartition:
@@ -615,7 +590,7 @@ def region_partition(g: PlaneGraph, cycle: Sequence[int]) -> RegionPartition:
     parts = g._regions[c] = RegionPartition(
         cycle=c, face_mask=faces, interior_mask=interior,
         exterior_mask=t.all_vertices & ~(interior | boundary),
-        boundary_mask=boundary, tree=t)
+        boundary_mask=boundary)
     return parts
 
 

@@ -11,10 +11,10 @@ asserted before dividing.
 Each host graph keeps the entries and updates of its matrix sweeps,
 keyed by the annulus's sweep shape (:func:`coloring.sweep_shape`), which
 is the sweep's whole input besides its tag.  A reuse skips only the
-sweep: both cycles are still read through ``region_partition``, which
-validates a cycle before it memoizes its partition, the annulus still
-cut with every guard of ``region_graph``, and the stored updates charged
-to the budget, which raises exactly where the sweep would have.
+sweep: both cycles are still validated, the annulus still cut by
+``region_graph``, which reads both region partitions with every guard,
+and the stored updates charged to the budget, which raises exactly
+where the sweep would have.
 
 All matrix arithmetic is exact integer arithmetic: the product bound
 grows exponentially and the comparisons are done in the integers
@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 
 from .coloring import DEFAULT_BUDGET, SPECIAL_POSITION, sweep, sweep_shape
 from .errors import BudgetExceededError, FalsificationError
-from .plane_graph import PlaneGraph, annulus_subgraph, region_partition
+from .plane_graph import PlaneGraph, annulus_subgraph, validate_cycle
 
 log = logging.getLogger(__name__)
 
@@ -269,8 +269,8 @@ def transition_matrix(g: PlaneGraph, c1: Sequence[int], c2: Sequence[int],
     sweep's entries and updates and charges the updates to ``budget``
     (see the module docstring).
     """
-    k1 = region_partition(g, c1).cycle
-    k2 = region_partition(g, c2).cycle
+    k1 = validate_cycle(g, c1)
+    k2 = validate_cycle(g, c2)
     if len(k1) != 5 or len(k2) != 5:
         raise ValueError("transition matrices are defined between 5-cycles")
     ann = annulus_subgraph(g, k1, k2)
@@ -529,12 +529,11 @@ def random_matrix_chain(n: int, rng: random.Random):
     return mats, kinds
 
 
-def matrix_report(m: TransitionMatrix, g: PlaneGraph | None = None) -> dict:
+def matrix_report(m: TransitionMatrix, g: PlaneGraph) -> dict:
     """JSON-ready report for a transition matrix."""
-    lab = (lambda v: g.label(v)) if g is not None else (lambda v: v)
     return {
-        "rows": [lab(v) for v in m.row_labels],
-        "cols": [lab(v) for v in m.col_labels],
+        "rows": [g.label(v) for v in m.row_labels],
+        "cols": [g.label(v) for v in m.col_labels],
         "entries": [list(r) for r in m.entries],
         "classification": classify(m),
         "raw_count": m.raw_count,

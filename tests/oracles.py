@@ -12,9 +12,14 @@ containment forest replaced, and ``plane_region`` cuts regions along
 cycles by rebuilding each side as a plane graph with fresh ids, the
 reference of ``plane_graph.region_graph``.  ``dual_search_faces`` and
 ``rescan_partition`` are the interior search and the per-vertex face
-rescan that the dual-tree parity of ``plane_graph.region_partition``
-replaced.  ``compose_by_definition`` is the triple-sum matrix product
-that ``transition.compose`` replaced, and ``per_entry_doubling`` and
+rescan that the library's dual-tree parity masks replaced.  They are
+the only region code here: ``crosses``, ``pairwise_laminar``,
+``subgraph_extract`` and ``plane_region`` read every region through
+them, so these oracles of extraction, the containment forest and the
+region cut share no region code with the library, whose region
+partitions this module never imports.  ``compose_by_definition`` is
+the triple-sum matrix product that ``transition.compose`` replaced,
+and ``per_entry_doubling`` and
 ``per_entry_dominant`` are the samplers that drew one entry per RNG
 call, kept as the reference of ``transition._doubling_from`` and
 ``transition._dominant_from``.  ``reference_sweep`` is the counting
@@ -54,7 +59,6 @@ from threecolor import (
     enumerate_cycles,
     is_triangle_free,
     low_degree_set,
-    region_partition,
 )
 from threecolor.coloring import _color_blind
 from threecolor.errors import BudgetExceededError, FalsificationError
@@ -227,15 +231,15 @@ def crosses(g, c1, c2) -> bool:
     Cycles whose interiors are nested or disjoint (including pairs that
     share only boundary vertices or edges) do not cross.
     """
-    f1 = region_partition(g, c1).face_mask
-    f2 = region_partition(g, c2).face_mask
-    return bool(f1 & f2 and f1 & ~f2 and f2 & ~f1)
+    f1 = dual_search_faces(g, c1)
+    f2 = dual_search_faces(g, c2)
+    return bool(f1 & f2 and f1 - f2 and f2 - f1)
 
 
 def pairwise_laminar(g, family) -> bool:
     """True iff no two cycles of the family have properly overlapping
     interiors, by comparing every pair of interior face sets."""
-    regions = [region_partition(g, c).faces for c in family]
+    regions = [dual_search_faces(g, c) for c in family]
     for i, f1 in enumerate(regions):
         for f2 in regions[i + 1:]:
             if not (f1.isdisjoint(f2) or f1 <= f2 or f2 <= f1):
@@ -277,9 +281,9 @@ def _subgraph_family(g, k):
     fives = enumerate_cycles(g, 5)
     separating = []
     for c in fives:
-        parts = region_partition(g, c)
-        if parts.interior and parts.exterior:
-            separating.append((len(parts.interior), c))
+        interior, exterior, _ = rescan_partition(g, c)
+        if interior and exterior:
+            separating.append((len(interior), c))
     if not separating:
         return fives
     _, cut = min(separating)
@@ -340,8 +344,8 @@ def _outside_dart(g, cycle, inside):
 def interior_subgraph(g, cycle) -> PlaneGraph:
     """The cycle plus everything inside it; the cycle becomes the outer face."""
     c = validate_cycle(g, cycle)
-    ins = region_partition(g, c).faces
-    keep = set(c) | region_partition(g, c).interior
+    ins = dual_search_faces(g, c)
+    keep = set(c) | rescan_partition(g, c)[0]
 
     def drop(u, v):
         fa = g.face_of_dart[(u, v)]
@@ -354,8 +358,8 @@ def interior_subgraph(g, cycle) -> PlaneGraph:
 def exterior_subgraph(g, cycle) -> PlaneGraph:
     """The cycle plus everything outside it; keeps the original outer face."""
     c = validate_cycle(g, cycle)
-    ins = region_partition(g, c).faces
-    keep = set(c) | region_partition(g, c).exterior
+    ins = dual_search_faces(g, c)
+    keep = set(c) | rescan_partition(g, c)[1]
 
     def drop(u, v):
         return g.face_of_dart[(u, v)] in ins and g.face_of_dart[(v, u)] in ins

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from builders import (
     path_graph,
     small_cycles,
 )
-from oracles import pairwise_laminar, subgraph_extract
+from oracles import dual_search_faces, pairwise_laminar, subgraph_extract
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +200,40 @@ def test_extract_rejects_crossing_family(monkeypatch):
         extract(g, 213)
 
 
+def test_extract_guards_coverage(monkeypatch):
+    from threecolor import laminar
+    g = pentagon_tower(3)
+    outer = canonical_cycle(tower_pentagons(g, 3)[2])
+    monkeypatch.setattr(laminar, "_covering_family", lambda g, k, fives: [outer])
+    with pytest.raises(FalsificationError, match="not covered by any 5-cycle"):
+        extract(g, 213)
+
+
+def test_split_guards_shrinking(monkeypatch):
+    # a cut whose boundary holds every vertex leaves a side as large as
+    # the graph it splits
+    from threecolor import laminar
+    g = pentagon_tower(3)
+    monkeypatch.setattr(laminar, "region_partition", lambda g, c: replace(
+        region_partition(g, c), boundary_mask=g.dual_tree.all_vertices))
+    with pytest.raises(FalsificationError, match="failed to shrink"):
+        extract(g, 213)
+
+
+def test_split_side_guards_reducible_vertices():
+    # with no 5-cycle on the side, every vertex of degree at most k is
+    # reducible there
+    from threecolor import laminar
+    g = pentagon_tower(3)
+    with pytest.raises(FalsificationError, match="became reducible inside a split"):
+        laminar._check_side(g, 213, (1 << g.n) - 1, [])
+
+
 def _brute_forest(g, family):
     """Parent, depth and children of each cycle, and the size of a
     maximum antichain, straight from the interior face sets."""
     cycles = sorted({canonical_cycle(c) for c in family})
-    inside = {c: region_partition(g, c).faces for c in cycles}
+    inside = {c: dual_search_faces(g, c) for c in cycles}
     above = {c: [d for d in cycles if inside[c] < inside[d]] for c in cycles}
     parent = {c: min(above[c], key=lambda d: len(inside[d]), default=None)
               for c in cycles}
@@ -234,8 +264,8 @@ def _check_against_oracles(g, family):
     assert forest.roots == tuple(c for c in sorted(parent) if parent[c] is None)
     anti = forest.max_antichain()
     assert len(anti) == widest
-    assert all(not (region_partition(g, c).faces & region_partition(g, d).faces)
-               for c in anti for d in anti if c != d)
+    inside = {c: dual_search_faces(g, c) for c in anti}
+    assert all(not (inside[c] & inside[d]) for c in anti for d in anti if c != d)
     chain, anti_family = dilworth_decompose(g, family)
     assert len(chain) == max(depth.values())
     assert anti_family.cycles == anti
@@ -246,7 +276,8 @@ def test_pairs_sharing_one_face_cross():
         cycles = small_cycles(g)
         crossing = 0
         for i, (a, fa) in enumerate(cycles):
-            assert region_partition(g, a).faces == fa
+            assert region_partition(g, a).face_mask == \
+                sum(1 << g.dual_tree.pre[f] for f in fa)
             for b, fb in cycles[i + 1:]:
                 crosses = len(fa & fb) == 1 and len(fa | fb) == 3
                 crossing += crosses
@@ -337,6 +368,13 @@ def test_dilworth_antichain_guard_trips_on_nested_members(monkeypatch):
         dilworth_decompose(g, fam)
 
 
+def test_dilworth_guards_the_size_product(monkeypatch):
+    g = pentagon_tower(5)
+    monkeypatch.setattr(ContainmentForest, "deepest_chain", lambda self: ())
+    with pytest.raises(FalsificationError, match="chain x antichain = 0 x 1 < family size 5"):
+        dilworth_decompose(g, tower_pentagons(g, 5))
+
+
 def _frame_depth() -> int:
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -374,10 +412,10 @@ def test_chain_is_totally_ordered_antichain_disjoint():
     g = dodecahedron()
     out = extract(g, 3)
     chain, anti = dilworth_decompose(g, out.family)
-    regions = [region_partition(g, c).faces for c in chain]
+    regions = [dual_search_faces(g, c) for c in chain]
     for a, b in zip(regions, regions[1:]):
         assert b < a
-    anti_regions = [region_partition(g, c).faces for c in anti]
+    anti_regions = [dual_search_faces(g, c) for c in anti]
     for i, ra in enumerate(anti_regions):
         for rb in anti_regions[i + 1:]:
             assert not (ra & rb)

@@ -272,27 +272,34 @@ def test_is_triangle_free_matches_triple_scan(g):
 # regions
 # ---------------------------------------------------------------------------
 
+def _face_mask(g, faces):
+    return sum(1 << g.dual_tree.pre[f] for f in faces)
+
+
+def _vertex_mask(g, vertices):
+    return sum(1 << g.dual_tree.vpos[v] for v in vertices)
+
+
 def test_region_partition_bare_pentagon():
     g = cycle_graph(5)
     parts = region_partition(g, list(range(5)))
-    assert parts.interior == frozenset()
-    assert parts.exterior == frozenset()
-    assert parts.boundary == frozenset(range(5))
+    assert parts.interior_mask == parts.exterior_mask == 0
+    assert parts.boundary_mask == _vertex_mask(g, range(5)) == 0b11111
 
 
 def test_region_partition_dodecahedron_outer_face():
     g = dodecahedron()
     outer = [g.index(f"a{j}") for j in range(5)]
     parts = region_partition(g, outer)
-    assert len(parts.interior) == 15
-    assert parts.exterior == frozenset()
+    assert parts.interior_mask.bit_count() == 15
+    assert parts.exterior_mask == 0
 
 
 def test_region_partition_prism():
     g = pentagon_tower(2)
     outer = [g.index(f"v1.{j}") for j in range(5)]
     parts = region_partition(g, outer)
-    assert parts.interior == frozenset(g.index(f"v0.{j}") for j in range(5))
+    assert parts.interior_mask == _vertex_mask(g, (g.index(f"v0.{j}") for j in range(5)))
 
 
 def test_region_partition_rejects_non_cycles():
@@ -309,23 +316,17 @@ _TOWERS = st.one_of(
 
 def _check_partition(g):
     """Every 5-cycle, facial cycle and one- or two-face cycle of ``g``
-    against the dual search and the vertex rescan, as id sets and as
-    masks over the dual tree's numberings."""
-    t = g.dual_tree
+    against the dual search and the vertex rescan, their id sets
+    encoded as masks over the dual tree's numberings."""
     small = small_cycles(g)
     for c in {*enumerate_cycles(g, 5), *g.facial_cycles, *(c for c, _ in small)}:
         parts = region_partition(g, c)
-        faces = dual_search_faces(g, c)
-        assert parts.faces == faces == region_partition(g, c).faces
-        interior, exterior, boundary = rescan_partition(g, c)
-        assert (parts.interior, parts.exterior, parts.boundary) == \
-            (interior, exterior, boundary)
-        assert parts.face_mask == sum(1 << t.pre[f] for f in faces)
+        assert region_partition(g, c) == parts
+        assert parts.face_mask == _face_mask(g, dual_search_faces(g, c))
         assert (parts.interior_mask, parts.exterior_mask, parts.boundary_mask) == \
-            tuple(sum(1 << t.vpos[v] for v in vs)
-                  for vs in (interior, exterior, boundary))
+            tuple(_vertex_mask(g, vs) for vs in rescan_partition(g, c))
     for c, faces in small:
-        assert region_partition(g, c).faces == faces
+        assert region_partition(g, c).face_mask == _face_mask(g, faces)
     return len(small)
 
 
@@ -368,19 +369,19 @@ def test_region_partition_matches_dual_search_on_other_embeddings():
     for rotation_of_0 in ([1, 5, 4], [1, 4, 5]):
         g = _pendant_pentagon(rotation_of_0)
         _check_partition(g)
-        assert region_partition(g, range(5)).interior == {5, 6}
+        assert region_partition(g, range(5)).interior_mask == _vertex_mask(g, {5, 6})
     assert _pendant_pentagon([1, 4, 5]).outer_face != 0
     g = _bowtie()
     _check_partition(g)
-    assert region_partition(g, range(5)).exterior == set(range(5, 9))
+    assert region_partition(g, range(5)).exterior_mask == _vertex_mask(g, range(5, 9))
     g = _quad_outer_tower()
     assert g.outer_face != 0
     _check_partition(g)
     # the top pentagon now bounds a single face, as the bottom one does
     for layer, inside in ((0, 0), (1, 5), (2, 0)):
         parts = region_partition(g, [g.index(f"v{layer}.{j}") for j in range(5)])
-        assert len(parts.interior) == inside
-        assert len(parts.faces) == (6 if inside else 1)
+        assert parts.interior_mask.bit_count() == inside
+        assert parts.face_mask.bit_count() == (6 if inside else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +402,8 @@ def test_nested_pentagons_do_not_cross():
     outer = [g.index(f"v1.{j}") for j in range(5)]
     assert not crosses(g, inner, outer)
     assert is_laminar(g, [inner, outer])
-    assert region_partition(g, inner).faces < region_partition(g, outer).faces
+    fi, fo = (region_partition(g, c).face_mask for c in (inner, outer))
+    assert fi & fo == fi != fo
 
 
 def test_interleaved_pentagons_cross():
@@ -642,7 +644,7 @@ def test_interiors_and_forest_guard_cycle_sides(monkeypatch):
     for layer in (0, 1):
         g, pents = _tower_with_unseparating_edge(monkeypatch, layer)
         with pytest.raises(FalsificationError, match="does not separate"):
-            region_partition(g, pents[layer]).faces
+            region_partition(g, pents[layer])
         with pytest.raises(FalsificationError, match="does not separate"):
             containment_forest(g, pents)
 
@@ -809,13 +811,13 @@ def test_region_graph_matches_rebuilt_cut(tower, data):
     g, height = tower
     pool = sorted({c for c, _ in small_cycles(g)}
                   | {canonical_cycle(c) for c in tower_pentagons(g, height)})
+    inside = {c: dual_search_faces(g, c) for c in pool}
     holes, covered = [], set()
     for c in data.draw(st.lists(st.sampled_from(pool), max_size=6, unique=True)):
-        if covered.isdisjoint(region_partition(g, c).faces):
+        if covered.isdisjoint(inside[c]):
             holes.append(c)
-            covered |= region_partition(g, c).faces
-    outers = [c for c in pool
-              if all(region_partition(g, h).faces < region_partition(g, c).faces for h in holes)]
+            covered |= inside[c]
+    outers = [c for c in pool if all(inside[h] < inside[c] for h in holes)]
     outer = data.draw(st.sampled_from([None] + outers))
     _check_region(g, outer, holes)
 

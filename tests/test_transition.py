@@ -767,6 +767,29 @@ def test_product_bound_guards_its_arguments():
         assert verify_product_bound(chain, kinds).ok
 
 
+def _layer(i):
+    return tuple(f"v{i}.{j}" for j in range(5))
+
+
+@pytest.mark.parametrize("outer, inner, message", [
+    (("v1.0", "v1.1", "v1.3", "v1.4"), _layer(0),
+     "not a cycle of the graph: v1.1-v1.3 is not an edge"),
+    (("v1.0", "v1.1", "v2.1", "v2.0"), _layer(0),
+     "transition matrices are defined between 5-cycles"),
+    (("v1.0", "v1.1", "v1.0", "v1.2", "v1.3"), _layer(0), "cycle has repeated vertices"),
+    (("v1.0", "v1.1"), _layer(0), "cycle needs at least 3 vertices, got 2"),
+    (_layer(0), _layer(2), "hole does not lie strictly inside the outer cycle"),
+    (_layer(0), _layer(0), "hole does not lie strictly inside the outer cycle"),
+    (_layer(2), ("v0.0", "v0.2", "v0.1", "v0.3", "v0.4"),
+     "not a cycle of the graph: v0.0-v0.2 is not an edge"),
+])
+def test_transition_matrix_argument_errors(outer, inner, message):
+    # on tower 3, each bad pair raises the first error its checks meet
+    g = pentagon_tower(3)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        transition_matrix(g, [g.index(x) for x in outer], [g.index(x) for x in inner])
+
+
 def test_matrix_report_shape():
     g = shared_path_pentagons()
     outer = [g.index(f"u{i+1}") for i in range(5)]
