@@ -19,7 +19,9 @@ least estimated state count among breadth-first search from position
 a caller that memoizes by shape pays nothing for the choice on a hit.
 What each step does to the frontier is then planned from positions,
 before any state is visited, in the chosen order itself (any
-permutation of the positions will do): no shape is renumbered.
+permutation of the positions will do): no shape is renumbered.  One
+rule, :func:`_frontier`, says when each position leaves the frontier;
+the order estimate scores the frontier that the plan lays out.
 
 A state is one int.  Each frontier vertex holds a fixed 2-bit register
 for its whole time on the frontier (the lowest one free when it is
@@ -127,28 +129,44 @@ def _bfs_from(nbrs: Sequence[tuple], root: int) -> tuple[list, list, list]:
     return order, at, last
 
 
-def _estimate(groups: Sequence[tuple], at: Sequence[int], last: list) -> int:
-    """The estimated state count of a sweep placing each position ``v``
-    at step ``at[v]``, whose neighbours are placed by step ``last[v]``:
-    the sum over steps of 3**(live colors) * 5**(completed groups)."""
-    n = len(at)
-    tags = [0] * n
-    if groups:
-        last = list(last)
-    for grp in groups:
+def _frontier(groups: Sequence[tuple], at: Sequence[int],
+              last: Sequence[int]) -> tuple[list, dict, list]:
+    """The frontier of a sweep placing each position ``v`` at step
+    ``at[v]``, whose neighbours are placed by step ``last[v]``; the one
+    rule for when a position leaves the frontier.  Returns ``(leave,
+    completes, live)``: ``leave[v]`` is the last step that reads ``v``,
+    ``last[v]`` or the step completing a group that holds ``v``, if
+    later; ``completes`` maps each step to the groups whose last member
+    it places; ``live[t]`` counts the positions ``v`` with ``at[v] <= t
+    < leave[v]``, the registers in use after step ``t``."""
+    leave = list(last)
+    completes: dict = {}
+    for i, grp in enumerate(groups):
         done = max(map(at.__getitem__, grp))
-        tags[done] += 1
+        completes.setdefault(done, []).append(i)
         for v in grp:
-            last[v] = max(last[v], done)
-    delta = [0] * n
-    for t, end in zip(at, last):
+            leave[v] = max(leave[v], done)
+    delta = [0] * len(at)
+    for t, end in zip(at, leave):
         if end > t:
             delta[t] += 1
             delta[end] -= 1
-    live = map(pow, repeat(3), accumulate(delta))
-    if not groups:
+    return leave, completes, list(accumulate(delta))
+
+
+def _estimate(groups: Sequence[tuple], at: Sequence[int],
+              last: Sequence[int]) -> int:
+    """The estimated state count of the sweep whose :func:`_frontier` is
+    that of ``groups``, ``at`` and ``last``: the sum over steps of
+    3**(live registers) * 5**(completed groups)."""
+    _, completes, live = _frontier(groups, at, last)
+    live = map(pow, repeat(3), live)
+    if not completes:
         return sum(live)
-    return sum(map(mul, live, map(pow, repeat(5), accumulate(tags))))
+    done = [0] * len(at)
+    for t, grps in completes.items():
+        done[t] = len(grps)
+    return sum(map(mul, live, map(pow, repeat(5), accumulate(done))))
 
 
 def _narrowest_bfs(shape: tuple) -> list:
@@ -173,17 +191,18 @@ def _plan(shape: tuple, order: Sequence[int], tag: Callable) -> tuple:
     """Plan every vertex step of the sweep of ``shape`` placing its
     positions in ``order``, and the layout of its states.  Step
     ``at[v]`` places ``v`` after each neighbour ``u`` with ``at[u] <
-    at[v]``; a group completes at ``max(at[m])`` over its members.
+    at[v]``; :func:`_frontier` gives the last step reading each
+    position and the groups each step completes.
 
     Returns ``(steps, registers, fields)``.  A state is one int.  Each
     placed vertex whose color a later step reads holds a 2-bit register
     (bits 2r and 2r + 1 hold its color) from its step until that last
     read; it takes the lowest register free once the step's retiring
-    vertices have left, and ``registers`` is the number of registers
-    used, the peak frontier width.  Above the registers, each group has
-    a tag field: ``fields`` holds its ``(offset, mask, ids)``, where
-    ``ids`` interns the group's tag values in order of first use.  Each
-    step is ``(read, extensions, keep, live)``: ``state & read`` holds
+    vertices have left, so ``registers`` is the most live at once, the
+    peak frontier width.  Above the registers, each group has a tag
+    field: ``fields`` holds its ``(offset, mask, ids)``, where ``ids``
+    interns the group's tag values in order of first use.  Each step
+    is ``(read, extensions, keep, live)``: ``state & read`` holds
     the colors of the vertex's placed neighbours and of the other
     members of the groups completing there; ``extensions(seen)`` gives
     the bits that each allowed color, and the tags it completes, add;
@@ -191,30 +210,13 @@ def _plan(shape: tuple, order: Sequence[int], tag: Callable) -> tuple:
     has both bits of every register in use after it.
     """
     nbrs, groups, fixed = shape
-    n = len(nbrs)
     fixed = dict(fixed)
-    at = [0] * n
+    at = [0] * len(nbrs)
     for t, v in enumerate(order):
         at[v] = t
-    step = at.__getitem__
-    leave = [max(map(step, nb), default=-1) for nb in nbrs]   # last step reading v
-    completes: dict = {}     # step -> groups whose last member is placed there
-    for i, grp in enumerate(groups):
-        done = max(map(step, grp))
-        completes.setdefault(done, []).append(i)
-        for v in grp:
-            leave[v] = max(leave[v], done)
-    reg: list = [None] * n
-    retiring: dict = {}      # step -> vertices read there for the last time
-    used = registers = 0
-    for t, v in enumerate(order):
-        for u in retiring.get(t, ()):
-            used ^= 1 << reg[u]
-        if leave[v] > t:
-            r = reg[v] = (~used & (used + 1)).bit_length() - 1
-            used |= 1 << r
-            registers = max(registers, r + 1)
-            retiring.setdefault(leave[v], []).append(v)
+    leave, completes, in_use = _frontier(
+        groups, at, [max(map(at.__getitem__, nb), default=-1) for nb in nbrs])
+    registers = max(in_use, default=0)
     fields = []
     top = 2 * registers
     for grp in groups:
@@ -222,27 +224,29 @@ def _plan(shape: tuple, order: Sequence[int], tag: Callable) -> tuple:
         fields.append((top, (1 << width) - 1, {}))
         top += width
     tags = (1 << top) - (1 << 2 * registers)
+    put: list = [None] * len(nbrs)    # the low bit of each position's register
+    retiring: dict = {}      # step -> registers read there for the last time
     live = 0                 # the registers in use
     steps = []
     for t, v in enumerate(order):
-        shifts = [2 * reg[u] for u in nbrs[v] if at[u] < t]
+        shifts = [put[u] for u in nbrs[v] if at[u] < t]
         read = sum([3 << s for s in shifts])
-        for u in retiring.get(t, ()):
-            live ^= 3 << 2 * reg[u]
+        live ^= retiring.pop(t, 0)
         keep = live | tags
-        put = None if reg[v] is None else 2 * reg[v]
-        if put is not None:
-            live |= 3 << put
+        if leave[v] > t:
+            s = put[v] = (~live & (live + 1)).bit_length() - 1
+            live |= 3 << s
+            retiring[leave[v]] = retiring.get(leave[v], 0) | 3 << s
         choices = (fixed[v],) if v in fixed else (1, 2, 3)
         tagged = []
         for i in completes.get(t, ()):
-            members = [None if u == v else 2 * reg[u] for u in groups[i]]
+            members = [None if u == v else put[u] for u in groups[i]]
             for s in members:
                 if s is not None:
                     read |= 3 << s
             offset, _, ids = fields[i]
             tagged.append((members, offset, ids))
-        steps.append((read, _extensions(shifts, choices, put, tagged, tag),
+        steps.append((read, _extensions(shifts, choices, put[v], tagged, tag),
                       keep, live))
     return steps, registers, fields
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, load_plane_graph
 
 _TWO_PI = 2.0 * math.pi
 
@@ -34,25 +34,24 @@ def _graph_from_layout(positions: dict, edges, outer_face) -> PlaneGraph:
     """Build a plane graph from a straight-line drawing.
 
     ``positions`` maps labels to (x, y); rotations come from sorting each
-    neighbour list clockwise by angle.
+    neighbour list clockwise by angle, and the loader reads the graph
+    from them with its labels as strings.
     """
-    labels = list(positions)
-    index = {lab: i for i, lab in enumerate(labels)}
-    nbrs: dict[str, list] = {lab: [] for lab in labels}
+    nbrs: dict = {lab: [] for lab in positions}
     for a, b in edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
-    rotation = []
-    for lab in labels:
-        x0, y0 = positions[lab]
+    rotation = {}
+    for lab, (x0, y0) in positions.items():
 
         def clockwise(other):
             x1, y1 = positions[other]
             return -math.atan2(y1 - y0, x1 - x0)
 
-        rotation.append([index[w] for w in sorted(nbrs[lab], key=clockwise)])
-    outer = [index[lab] for lab in outer_face]
-    return PlaneGraph(labels, rotation, outer_walk=outer)
+        rotation[str(lab)] = [str(w) for w in sorted(nbrs[lab], key=clockwise)]
+    return load_plane_graph({"vertices": [str(lab) for lab in positions],
+                             "rotation": rotation,
+                             "outer_face": [str(lab) for lab in outer_face]})
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +107,12 @@ def perturbed_tower(k: int, seed: int, ops: int) -> PlaneGraph:
     """
     if ops < 0:
         raise ValueError("ops must be non-negative")
-    g = pentagon_tower(k)
+    data = pentagon_tower(k).to_json_dict()
+    labels, rotation = data["vertices"], data["rotation"]
     rng = random.Random(seed)
-    labels = list(g.labels)
-    rotation = {lab: [g.label(w) for w in g.neighbors(g.index(lab))]
-                for lab in labels}
-    outer = [g.label(v) for v in g.faces[g.outer_face]]
 
     for op_index in range(ops):
-        current = _from_rotation(labels, rotation, outer)
+        current = load_plane_graph(data)
         quads = []
         for fi, walk in enumerate(current.faces):
             if fi == current.outer_face:
@@ -147,18 +143,12 @@ def perturbed_tower(k: int, seed: int, ops: int) -> PlaneGraph:
             rotation[y] = [x, q]
             labels.extend([x, y])
 
-    return _from_rotation(labels, rotation, outer)
+    return load_plane_graph(data)
 
 
 def _insert_after(rotation: dict, at: str, after: str, new: str):
     rot = rotation[at]
     rot.insert(rot.index(after) + 1, new)
-
-
-def _from_rotation(labels, rotation, outer_labels) -> PlaneGraph:
-    index = {lab: i for i, lab in enumerate(labels)}
-    rows = [[index[w] for w in rotation[lab]] for lab in labels]
-    return PlaneGraph(labels, rows, outer_walk=[index[x] for x in outer_labels])
 
 
 # ---------------------------------------------------------------------------

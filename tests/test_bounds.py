@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from threecolor import (
     count_3_colorings,
     decomposition_sizes_ok,
     dodecahedron,
+    load_plane_graph,
     main_bound_value,
     meets_main_bound,
     meets_power_bound,
@@ -198,6 +200,47 @@ def test_budget_used_is_pinned_on_the_whole_corpus(corpus):
     # the chain matrix sweeps, so it moves with any change to the order a
     # sweep is planned in, its orbit rule or the transition memo
     assert {name: verify(g).budget_used for name, g in corpus} == CORPUS_BUDGET_USED
+
+
+# (vertices, updates, peak live states, color orbits, BFS root, registers)
+# of each sweep that ``verify`` logs: the count, then the first chain
+# layer matrix (later layers of one shape reuse it)
+CORPUS_SWEEPS = {
+    "tower1": [(5, 14, 2, "merged", 0, 2)],
+    "tower2": [(10, 62, 9, "merged", 3, 4), (10, 130, 32, "merged", 0, 6)],
+    "tower3": [(15, 191, 24, "merged", 0, 5), (10, 130, 32, "merged", 0, 6)],
+    "tower4": [(20, 310, 24, "merged", 0, 5), (10, 130, 32, "merged", 0, 6)],
+    "tower5": [(25, 429, 24, "merged", 0, 5), (10, 130, 32, "merged", 0, 6)],
+    "tower6": [(30, 548, 24, "merged", 0, 5), (10, 130, 32, "merged", 0, 6)],
+    "tower7": [(35, 667, 24, "merged", 0, 5), (10, 130, 32, "merged", 0, 6)],
+    "tower8": [(40, 786, 24, "merged", 0, 5), (10, 130, 32, "merged", 0, 6)],
+    "garden1": [(10, 25, 2, "merged", 9, 2)],
+    "garden2": [(16, 40, 2, "merged", 10, 2)],
+    "garden3": [(24, 141, 14, "merged", 23, 4)],
+    "dodecahedron": [(20, 735, 54, "merged", 0, 6),
+                     (20, 812, 54, "merged", 19, 7)],
+    "shared_path": [(6, 17, 2, "merged", 4, 2), (6, 26, 8, "merged", 0, 5)],
+    "perturbed3_s1": [(18, 257, 30, "merged", 17, 6)],
+    "perturbed4_s2": [(23, 592, 66, "merged", 0, 7)],
+    "perturbed4_s3": [(24, 351, 24, "merged", 0, 6)],
+    "perturbed5_s5": [(28, 529, 30, "merged", 0, 7)],
+}
+
+
+def test_every_corpus_sweep_is_pinned(corpus, caplog):
+    # the BFS root and the register count can change without moving any
+    # update; each graph is reloaded so that no earlier test's memoized
+    # layer matrix hides a sweep
+    assert [name for name, _ in corpus] == list(CORPUS_SWEEPS)
+    for name, g in corpus:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="threecolor.coloring"):
+            verify(load_plane_graph(g.to_json_dict()))
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "threecolor.coloring"] == [
+            f"sweep of {n} vertices: {u} updates, peak {p} live states, "
+            f"color orbits {m}, BFS root {r}, {k} registers"
+            for n, u, p, m, r, k in CORPUS_SWEEPS[name]], name
 
 
 def test_chain_matrix_total_is_a_lower_bound_mechanism():

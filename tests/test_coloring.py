@@ -28,9 +28,12 @@ from threecolor import (
 from threecolor.coloring import (
     _bfs_from,
     _bfs_order,
+    _estimate,
     _first_occurrence,
+    _frontier,
     _narrowest_bfs,
     _orbit_masks,
+    _plan,
     _sweep_in_order,
     sweep_shape,
 )
@@ -268,6 +271,36 @@ def test_any_order_matches_tuple_kernel_on_renumbered_shape(data):
     perm = data.draw(st.permutations(range(len(shape[0]))))
     assert _sweep_in_order(shape, perm, tag, 10 ** 9) == \
         reference_sweep(renumbered(shape, perm), tag)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_frontier_matches_brute_force_on_any_order(data):
+    # each position is live after step t iff it is placed by t and a
+    # later step places a neighbour of it or completes a group holding
+    # it; the plan lays out exactly that many registers after each step,
+    # and the estimate scores exactly that frontier
+    g, groups, fixed, _ = draw_sweep_input(data)
+    shape = sweep_shape(g, groups, fixed)
+    nbrs, groups, _ = shape
+    n = len(nbrs)
+    order = data.draw(st.permutations(range(n)))
+    at = [order.index(v) for v in range(n)]
+    done = [max(at[m] for m in grp) for grp in groups]
+    reads = [[at[u] for u in nbrs[v]] + [d for d, grp in zip(done, groups)
+                                          if v in grp] for v in range(n)]
+    live = [sum(1 for v in range(n) if at[v] <= t and any(r > t for r in reads[v]))
+            for t in range(n)]
+    last = [max((at[u] for u in nbrs[v]), default=-1) for v in range(n)]
+    assert _frontier(groups, at, last) == (
+        [max(r, default=-1) for r in reads],
+        {t: [i for i, d in enumerate(done) if d == t] for t in set(done)},
+        live)
+    steps, registers, _ = _plan(shape, order, sum)   # no step runs its tag
+    assert registers == max(live, default=0)
+    assert [bin(step[3]).count("1") // 2 for step in steps] == live
+    assert _estimate(groups, at, last) == sum(
+        3 ** live[t] * 5 ** sum(1 for d in done if d <= t) for t in range(n))
 
 
 def test_orbit_representative_is_first_occurrence_on_every_word():
