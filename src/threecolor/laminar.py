@@ -12,15 +12,15 @@ u1, u2 in N(v), so v-u1-x-y-u2 is a 5-cycle, and every 5-cycle through
 v gives such a triangle.  ``identify_neighbors`` plus a triangle test is
 the definition this replaces; the tests keep it as the oracle.
 
-The family is found recursively: with no separating 5-cycle the set of
-*all* 5-cycles is laminar; otherwise the graph is split along a
-separating 5-cycle (kept on both sides) and the two families are
-merged.  The 5-cycles and their region partitions are computed once on
-the host graph, and the recursion works on sets of host vertices,
-bitmasks like the partitions themselves: a 5-cycle is chordless, so
-each side is the induced subgraph on its vertex set, and since it
-inherits the host embedding, its regions are the host regions cut down
-to that set.
+The family is found by peeling off inner sides: with no separating
+5-cycle the set of *all* 5-cycles is laminar; otherwise the cut with
+the fewest interior vertices leaves an inner side with no separating
+5-cycle, whose 5-cycles join the family, and the peel goes on outside
+it.  The 5-cycles and their region partitions are computed once on
+the host graph, and the peel works on sets of host vertices, bitmasks
+like the partitions themselves: a 5-cycle is chordless, so each side
+is the induced subgraph on its vertex set, and since it inherits the
+host embedding, its regions are the host regions cut down to that set.
 
 A laminar family orders into a forest under interior containment, built
 in one pass that also decides laminarity; ``dilworth_decompose`` reads
@@ -76,8 +76,8 @@ def extract(g: PlaneGraph, k: int) -> LaminarOutcome:
     returned as reducible (see the module docstring for why that is
     reducibility).  Otherwise returns a laminar family of 5-cycles
     covering every vertex of degree at most k (re-verified on every
-    call), built by splitting on separating 5-cycles over sets of host
-    vertices.
+    call), built by peeling inner sides off separating 5-cycles over
+    sets of host vertices (``_covering_family``).
     """
     if not g.triangle_free:
         raise ValueError("extraction requires a triangle-free graph")
@@ -99,39 +99,47 @@ def extract(g: PlaneGraph, k: int) -> LaminarOutcome:
 
 
 def _covering_family(g: PlaneGraph, k: int, fives: list[Cycle]) -> list[Cycle]:
-    """Family construction by splitting on separating 5-cycles.
+    """Family construction by peeling along separating 5-cycles.
 
-    A vertex set S stands for its induced subgraph.  A 5-cycle inside S
-    separates it iff its host interior and exterior both meet S; the cut
-    is the separating cycle with the fewest interior vertices in S (ties
-    to the least cycle), and its two sides are the cut plus its interior
-    or exterior part of S.  With no separating cycle, all 5-cycles
-    inside S join the family.  Vertex sets are bitmasks over the vertex
+    A vertex set S, at first all vertices, stands for its induced
+    subgraph.  A 5-cycle r inside S separates it iff its host interior
+    and exterior both meet S, that is iff 0 < |int(r) & S| < |S| - 5.
+    The cut is the separating cycle with the fewest interior vertices
+    in S (ties to the least cycle).  The 5-cycles of its inner side, the
+    cut plus int(cut) & S, join the family, and S becomes the outer
+    side, S less int(cut); with no separating cycle, all 5-cycles inside
+    S join the family.  Vertex sets are bitmasks over the vertex
     numbering of ``g.dual_tree``, the numbering region partitions use.
+
+    The inner side never splits, so splitting both sides, outer side
+    first, would make the same cuts and checks in the same order: a
+    5-cycle r on it is chordless, so it lies in the cut's closed disk
+    and int(r) in int(cut); if r is not the cut, a vertex of r is in
+    int(cut) & S, not in int(r), and r would separate S (the cut's
+    exterior meets S) with fewer interior vertices in S than the cut.
 
     Only reached once no low-degree vertex of the host is reducible; it
     is then a theorem that no vertex is reducible on any side either, so
     a reducible vertex on a side is reported as a falsification.
     """
-    regions = [region_partition(g, c) for c in fives]
+    inside = [region_partition(g, c) for c in fives]
     family: set = set()
-    work = [(g.dual_tree.all_vertices, regions)]
-    while work:
-        s, inside = work.pop()
-        separating = [((r.interior_mask & s).bit_count(), r.cycle, r)
-                      for r in inside if r.interior_mask & s and r.exterior_mask & s]
+    s = (1 << g.n) - 1
+    while True:
+        rest = s.bit_count() - 5
+        separating = [(n, r.cycle, r) for r in inside
+                      if 0 < (n := (r.interior_mask & s).bit_count()) < rest]
         if not separating:
-            family.update(r.cycle for r in inside)
-            continue
+            return sorted(family.union(r.cycle for r in inside))
         cut = min(separating)[2]
-        for side in (cut.boundary_mask | (cut.interior_mask & s),
-                     cut.boundary_mask | (cut.exterior_mask & s)):
+        within = []
+        for side in (cut.boundary_mask | (cut.interior_mask & s), s & ~cut.interior_mask):
             if side.bit_count() >= s.bit_count():
                 raise FalsificationError("separating cycle failed to shrink the graph")
-            within = [r for r in inside if r.boundary_mask & side == r.boundary_mask]
-            _check_side(g, k, side, within)
-            work.append((side, within))
-    return sorted(family)
+            within.append([r for r in inside if r.boundary_mask & side == r.boundary_mask])
+            _check_side(g, k, side, within[-1])
+        family.update(r.cycle for r in within[0])
+        s, inside = s & ~cut.interior_mask, within[1]
 
 
 def _check_side(g: PlaneGraph, k: int, side: int, within: list) -> None:
@@ -144,7 +152,7 @@ def _check_side(g: PlaneGraph, k: int, side: int, within: list) -> None:
     for r in within:
         on_five |= r.boundary_mask
     t = g.dual_tree
-    for v in sorted(t.vertices(side & ~on_five)):
+    for v in sorted(t.vert_at[i] for i in mask_members(side & ~on_five)):
         if sum(side >> t.vpos[w] & 1 for w in g.neighbors(v)) <= k:
             raise FalsificationError(
                 f"vertex {g.label(v)} became reducible inside a split, "

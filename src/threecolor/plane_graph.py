@@ -487,31 +487,25 @@ class DualTree:
         self.pre, self.size, self.face_at = pre, size, face_at
         self.child, self.label, self.cut = child, label, cut
         self.vpos, self.vert_at, self.vstart = vpos, vert_at, vstart
-        self.all_vertices = (1 << g.n) - 1
-
-    def vertices(self, mask: int) -> frozenset:
-        """The vertex ids of a vertex mask."""
-        return frozenset(self.vert_at[i] for i in mask_members(mask))
 
 
 @dataclass(frozen=True)
 class RegionPartition:
-    """The split of the graph by a cycle, as bitmasks over the
+    """The split of the graph by a cycle, as three bitmasks over the
     numberings of ``g.dual_tree``: the faces inside it (bit ``pre[f]``
-    for face f) and the interior, exterior and boundary vertices (bit
-    ``vpos[v]`` for vertex v)."""
+    for face f) and the interior and boundary vertices (bit ``vpos[v]``
+    for vertex v).  The exterior vertices are the complement of both."""
 
     cycle: Cycle
     face_mask: int
     interior_mask: int
-    exterior_mask: int
     boundary_mask: int
 
 
 def region_partition(g: PlaneGraph, cycle: Sequence[int]) -> RegionPartition:
-    """Split the graph by a cycle: its interior faces and the interior,
-    exterior and boundary vertices, as bitmasks over the numberings of
-    ``g.dual_tree``.
+    """Split the graph by a cycle: its interior faces and the interior
+    and boundary vertices, as bitmasks over the numberings of
+    ``g.dual_tree`` (the exterior vertices are the rest).
 
     A face lies inside C iff its tree path from the outer face crosses
     C an odd number of times.  A tree edge is crossed on exactly the
@@ -586,10 +580,8 @@ def region_partition(g: PlaneGraph, cycle: Sequence[int]) -> RegionPartition:
     boundary = 0
     for v in c:
         boundary |= 1 << t.vpos[v]
-    interior = verts & ~boundary
     parts = g._regions[c] = RegionPartition(
-        cycle=c, face_mask=faces, interior_mask=interior,
-        exterior_mask=t.all_vertices & ~(interior | boundary),
+        cycle=c, face_mask=faces, interior_mask=verts & ~boundary,
         boundary_mask=boundary)
     return parts
 

@@ -6,7 +6,9 @@ are backed by a second computation path.  ``pattern_transition_entries``
 is the exception: it is the per-pattern transition matrix computation
 that the pinned counting sweep replaced, kept as its reference, and
 ``subgraph_extract`` is the extraction that rebuilt a plane graph for
-every split, kept as the reference of ``laminar.extract``,
+every split of both sides, kept as the reference of ``laminar.extract``
+(its split test ``separating_fives`` also checks, on every inner side,
+the premise of ``extract``'s peel: an inner side never splits),
 ``pairwise_laminar`` is the all-pairs crossing test that the one-pass
 containment forest replaced, and ``plane_region`` cuts regions along
 cycles by rebuilding each side as a plane graph with fresh ids, the
@@ -277,15 +279,21 @@ def _reducible_vertex(g, candidates):
     return None
 
 
-def _subgraph_family(g, k):
-    fives = enumerate_cycles(g, 5)
+def separating_fives(g) -> list:
+    """The 5-cycles of ``g`` with vertices both inside and outside them,
+    by the vertex rescan, as (interior size, cycle) pairs."""
     separating = []
-    for c in fives:
+    for c in enumerate_cycles(g, 5):
         interior, exterior, _ = rescan_partition(g, c)
         if interior and exterior:
             separating.append((len(interior), c))
+    return separating
+
+
+def _subgraph_family(g, k):
+    separating = separating_fives(g)
     if not separating:
-        return fives
+        return enumerate_cycles(g, 5)
     _, cut = min(separating)
     merged = set()
     for side in (interior_subgraph(g, cut), exterior_subgraph(g, cut)):

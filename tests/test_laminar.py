@@ -1,5 +1,6 @@
 import sys
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,8 @@ from builders import (
     path_graph,
     small_cycles,
 )
-from oracles import dual_search_faces, pairwise_laminar, subgraph_extract
+import oracles
+from oracles import dual_search_faces, pairwise_laminar, separating_fives, subgraph_extract
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +131,38 @@ def test_extract_matches_subgraph_oracle_on_perturbed_towers(g, k):
     assert extract(g, k) == subgraph_extract(g, k)
 
 
+def _inner_sides_stay_whole(g):
+    """Check that no interior side ``oracles._subgraph_family`` cuts off
+    has a separating 5-cycle, the premise of ``extract``'s peel, and
+    return how many sides were checked.  Run at k = 0, so that no
+    reducibility guard stops the splitting early."""
+    sides = []
+    rebuild = oracles.interior_subgraph
+
+    def record(host, cycle):
+        sides.append(rebuild(host, cycle))
+        return sides[-1]
+
+    with patch.object(oracles, "interior_subgraph", record):
+        oracles._subgraph_family(g, 0)
+    for side in sides:
+        assert separating_fives(side) == [], side.labels
+    return len(sides)
+
+
+def test_inner_sides_never_split(corpus):
+    graphs = [g for _, g in corpus] + [nested_pairs_graph(), interleaved_pentagons(),
+                                       chorded_pentagon()]
+    assert sum(_inner_sides_stay_whole(g) for g in graphs) > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(perturbed_tower, st.integers(3, 8), st.integers(0, 10**6),
+                 st.integers(0, 4)))
+def test_inner_sides_never_split_on_perturbed_towers(g):
+    _inner_sides_stay_whole(g)
+
+
 def test_extract_large_tower_is_the_layer_chain():
     g = pentagon_tower(100)
     out = extract(g, 213)
@@ -215,18 +249,33 @@ def test_split_guards_shrinking(monkeypatch):
     from threecolor import laminar
     g = pentagon_tower(3)
     monkeypatch.setattr(laminar, "region_partition", lambda g, c: replace(
-        region_partition(g, c), boundary_mask=g.dual_tree.all_vertices))
+        region_partition(g, c), boundary_mask=(1 << g.n) - 1))
     with pytest.raises(FalsificationError, match="failed to shrink"):
         extract(g, 213)
 
 
 def test_split_side_guards_reducible_vertices():
     # with no 5-cycle on the side, every vertex of degree at most k is
-    # reducible there
+    # reducible there; the least vertex id is reported, not the first
+    # in the dual tree's vertex numbering (v2.1)
     from threecolor import laminar
     g = pentagon_tower(3)
-    with pytest.raises(FalsificationError, match="became reducible inside a split"):
+    with pytest.raises(FalsificationError,
+                       match="^vertex v0.0 became reducible inside a split"):
         laminar._check_side(g, 213, (1 << g.n) - 1, [])
+
+
+def test_split_checks_both_sides_inner_first(monkeypatch):
+    # tower 4 is cut at layer 1, then at layer 2: each cut checks its
+    # inner side (the cut and the layers inside it), then its outer side
+    from threecolor import laminar
+    g = pentagon_tower(4)
+    sizes = []
+    check = laminar._check_side
+    monkeypatch.setattr(laminar, "_check_side", lambda g, k, side, within: (
+        sizes.append(side.bit_count()), check(g, k, side, within)))
+    extract(g, 213)
+    assert sizes == [10, 15, 10, 10]
 
 
 def _brute_forest(g, family):
